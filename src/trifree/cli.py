@@ -31,6 +31,8 @@ def parse_probability(text: str) -> tuple[Fraction, bool]:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"probability {text!r} has a zero denominator")
         return Fraction(int(num), int(den)), False
     if "." in text:
         whole, frac = text.split(".", 1)
@@ -48,8 +50,10 @@ def resolve_graph(source: str) -> graphs.Graph:
     if lowered.startswith("mantel+1:"):
         return graphs.mantel_plus_one(int(s.split(":", 1)[1]))
     if lowered.startswith("k:"):
-        a, b = s.split(":", 1)[1].split(",")
-        return graphs.complete_bipartite(int(a), int(b))
+        sizes = s.split(":", 1)[1].split(",")
+        if len(sizes) != 2:
+            raise ValueError(f"expected K:a,b with two part sizes, got {s!r}")
+        return graphs.complete_bipartite(int(sizes[0]), int(sizes[1]))
     if lowered.startswith("complete:"):
         return graphs.complete_graph(int(s.split(":", 1)[1]))
     if lowered in ("g1", "g2", "g3"):
@@ -111,6 +115,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
 
 def cmd_phi(args) -> int:
     g = _graph_from_args(args)
+    # a bad --p is a usage error before any exact counting runs
+    parsed_p = parse_probability(args.p) if args.p is not None else None
     prof = tf_profile(g, args.k)
     poly = tf_poly(g, args.k)
     payload = {
@@ -127,8 +133,8 @@ def cmd_phi(args) -> int:
         f"profile: {' '.join(payload['profile'])}",
         f"polynomial: {poly.to_text()}",
     ]
-    if args.p is not None:
-        p, from_decimal = parse_probability(args.p)
+    if parsed_p is not None:
+        p, from_decimal = parsed_p
         value = poly_eval(poly, p)
         payload["p"] = {"value": str(p), "from_decimal": from_decimal}
         payload["value"] = str(value)

@@ -5,26 +5,28 @@ The keep-probability polynomial of a graph G is
     sum_s tf(G, s) * p^s * (1-p)^(m-s),
 
 where tf(G, s) counts s-edge subsets containing no K_k (triangles by
-default).  Only edges lying in some K_k copy matter: an edge outside every
-copy can be kept or dropped freely, which multiplies the count profile by
-a binomial row and leaves the polynomial untouched.  The covered part is
-counted by vectorized enumeration of its subsets.
+default).  An edge subset is K_k-free exactly when it is an independent
+vertex set of the clique hypergraph (vertices = edges of G, hyperedges =
+K_k copies), so both maps below run on the one counting engine,
+hypergraph.covered_profile.  Only edges lying in some K_k copy matter: an
+edge outside every copy can be kept or dropped freely, which multiplies
+the count profile by a binomial row and leaves the polynomial untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-
-import numpy as np
 
 from .errors import LimitExceededError
-from .graphs import Graph, cliques
+from .graphs import Graph
+from .hypergraph import (
+    MAX_COVERED_VERTICES,
+    add_free_vertices,
+    clique_edge_indices,
+    covered_profile,
+)
 from .polynomial import Poly
-
-MAX_COVERED_EDGES = 30  # exact-enumeration limit on edges lying in a K_k copy
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,68 +38,22 @@ class TfProfile:
     clique_order: int = 3
 
 
-def _covered_edge_setup(g: Graph, clique_order: int):
-    """Edge indices covered by some K_k copy, plus hyperedge bitmasks over
-    the covered-edge positions."""
-    copies = cliques(g, clique_order)
-    covered: set[int] = set()
-    edge_sets = []
-    for members in copies:
-        idx = [
-            g.edge_index(members[i], members[j])
-            for i in range(clique_order)
-            for j in range(i + 1, clique_order)
-        ]
-        covered.update(idx)
-        edge_sets.append(idx)
-    order = sorted(covered)
-    pos = {e: i for i, e in enumerate(order)}
-    masks = []
-    for idx in edge_sets:
-        mask = 0
-        for e in idx:
-            mask |= 1 << pos[e]
-        masks.append(mask)
-    return order, masks
-
-
-def _covered_profile(c: int, masks: list[int]) -> list[int]:
-    """counts[s] over subsets of c covered edges avoiding every mask."""
-    if c == 0:
-        return [1]
-    umasks = np.array(masks, dtype=np.uint64)
-    counts = np.zeros(c + 1, dtype=np.int64)
-    total = 1 << c
-    for base in range(0, total, _CHUNK):
-        idx = np.arange(base, min(base + _CHUNK, total), dtype=np.uint64)
-        ok = np.ones(idx.shape, dtype=bool)
-        for mask in umasks:
-            ok &= (idx & mask) != mask
-        sizes = np.bitwise_count(idx[ok]).astype(np.int64)
-        counts += np.bincount(sizes, minlength=c + 1)
-    return [int(x) for x in counts]
+def _covered_core(g: Graph, clique_order: int) -> tuple[int, ...]:
+    """K_k-free subset counts by size over the edges lying in some K_k copy."""
+    copies = clique_edge_indices(g, clique_order)
+    c = len({e for idx in copies for e in idx})
+    if c > MAX_COVERED_VERTICES:
+        raise LimitExceededError(
+            f"{c} covered edges exceeds the exact limit {MAX_COVERED_VERTICES}; "
+            "use Monte Carlo estimation instead"
+        )
+    return covered_profile(copies)
 
 
 def tf_profile(g: Graph, clique_order: int = 3) -> TfProfile:
     """Exact counts of K_k-free edge subsets by size."""
-    order, masks = _covered_edge_setup(g, clique_order)
-    c = len(order)
-    if c > MAX_COVERED_EDGES:
-        raise LimitExceededError(
-            f"{c} covered edges exceeds the exact limit {MAX_COVERED_EDGES}; "
-            "use Monte Carlo estimation instead"
-        )
-    cov = _covered_profile(c, masks)
-    free = g.m - c
-    if free:
-        counts = [0] * (g.m + 1)
-        for j, x in enumerate(cov):
-            if x:
-                for i in range(free + 1):
-                    counts[j + i] += x * comb(free, i)
-    else:
-        counts = cov + [0] * (g.m - c)
-    return TfProfile(g.m, tuple(counts), clique_order)
+    core = _covered_core(g, clique_order)
+    return TfProfile(g.m, add_free_vertices(core, g.m), clique_order)
 
 
 def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
@@ -107,14 +63,8 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     Equals sum_s tf(g, s) p^s (1-p)^(m-s); edges outside every copy cancel
     (p + (1-p) = 1), so the degree is at most the covered-edge count.
     """
-    order, masks = _covered_edge_setup(g, clique_order)
-    c = len(order)
-    if c > MAX_COVERED_EDGES:
-        raise LimitExceededError(
-            f"{c} covered edges exceeds the exact limit {MAX_COVERED_EDGES}; "
-            "use Monte Carlo estimation instead"
-        )
-    cov = _covered_profile(c, masks)
+    cov = _covered_core(g, clique_order)
+    c = len(cov) - 1
     total = Poly.zero()
     for j, x in enumerate(cov):
         if x:

@@ -13,12 +13,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb
+from operator import or_
 
 from .errors import LimitExceededError
 from .graphs import Graph, cliques
 
-MAX_COVERED_VERTICES = 30  # exact independence-count limit
+MAX_COVERED_VERTICES = 30  # exact-count limit (for a graph: edges in some K_k copy)
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,21 @@ class IndependenceProfile:
     counts: tuple[int, ...] = field(repr=False)
 
 
+def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
+    """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
+    if clique_order < 2:
+        raise ValueError("clique order must be at least 2")
+    return [
+        tuple(sorted(g.edge_index(u, v) for u, v in combinations(members, 2)))
+        for members in cliques(g, clique_order)
+    ]
+
+
 def from_graph(g: Graph, clique_order: int = 3) -> CliqueHypergraph:
     """Hypergraph on the edges of g with one hyperedge per K_k copy."""
     if clique_order < 3:
         raise ValueError("clique order must be at least 3")
-    hedges = []
-    for members in cliques(g, clique_order):
-        idx = tuple(
-            sorted(
-                g.edge_index(members[i], members[j])
-                for i in range(clique_order)
-                for j in range(i + 1, clique_order)
-            )
-        )
-        hedges.append(idx)
-    return CliqueHypergraph(g.m, tuple(hedges), clique_order)
+    return CliqueHypergraph(g.m, tuple(clique_edge_indices(g, clique_order)), clique_order)
 
 
 def is_linear(h: CliqueHypergraph) -> bool:
@@ -158,28 +160,34 @@ def _pad(profile, length: int) -> tuple[int, ...]:
     return tuple(profile) + (0,) * (length - len(profile))
 
 
-def _components(hedges: frozenset[tuple[int, ...]]):
-    """Partition hyperedges into connected components (shared vertices)."""
-    remaining = set(hedges)
+def _union(masks) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _components(hedges: frozenset[int]) -> list[frozenset[int]]:
+    """Partition hyperedge masks into connected components (shared vertices)."""
+    remaining = list(hedges)
     comps = []
     while remaining:
-        e = remaining.pop()
-        comp = {e}
-        verts = set(e)
+        verts = remaining.pop()
+        comp = [verts]
         grew = True
         while grew:
             grew = False
-            for other in list(remaining):
-                if verts.intersection(other):
-                    remaining.remove(other)
-                    comp.add(other)
-                    verts.update(other)
+            rest = []
+            for e in remaining:
+                if e & verts:
+                    comp.append(e)
+                    verts |= e
                     grew = True
+                else:
+                    rest.append(e)
+            remaining = rest
         comps.append(frozenset(comp))
     return comps
 
 
-def _count_component(hedges: frozenset[tuple[int, ...]], memo: dict) -> tuple[int, ...]:
+def _count_component(hedges: frozenset[int], memo: dict) -> tuple[int, ...]:
     """Independent-set counts by size over exactly the vertices covered by
     hedges.  Branches on a highest-degree vertex; vertices freed along the
     way contribute binomial factors."""
@@ -187,47 +195,34 @@ def _count_component(hedges: frozenset[tuple[int, ...]], memo: dict) -> tuple[in
     if cached is not None:
         return cached
 
-    covered = set()
-    degree: dict[int, int] = {}
+    degree: dict[int, int] = {}  # vertex bit -> number of hyperedges through it
     for e in hedges:
-        for v in e:
-            covered.add(v)
-            degree[v] = degree.get(v, 0) + 1
-    ncov = len(covered)
-    pivot = max(degree, key=lambda v: (degree[v], -v))
+        while e:
+            low = e & -e
+            degree[low] = degree.get(low, 0) + 1
+            e ^= low
+    ncov = len(degree)
+    pivot = max(degree, key=lambda b: (degree[b], -b))
 
     # pivot excluded: every hyperedge through it is satisfied
-    kept = frozenset(e for e in hedges if pivot not in e)
+    kept = frozenset(e for e in hedges if not e & pivot)
     sub = _profile_over(kept, memo)
-    freed = ncov - 1 - len(set(v for e in kept for v in e))
+    freed = ncov - 1 - _union(kept).bit_count()
     excl = _convolve(sub, _binomial_row(freed)) if freed else sub
 
-    # pivot included: hyperedges through it shrink; unit remnants force
-    # their last vertex out (excluded vertices satisfy all their hyperedges)
-    shrunk: list[frozenset[int]] = []
-    dead = False
-    for e in hedges:
-        s = frozenset(e) - {pivot}
-        if not s:
-            dead = True
-            break
-        shrunk.append(s)
-    if not dead:
-        forced_out: set[int] = set()
-        while True:
-            units = [e for e in shrunk if len(e) == 1]
-            if not units:
-                break
-            out_vertex = next(iter(units[0]))
-            forced_out.add(out_vertex)
-            shrunk = [e for e in shrunk if out_vertex not in e]
-        remaining = frozenset(tuple(sorted(e)) for e in shrunk)
+    # pivot included: hyperedges through it shrink; a one-vertex remnant
+    # forces that vertex out, which satisfies every hyperedge through it
+    # (nothing shrinks further, so one pass finds every forced vertex)
+    shrunk = {e & ~pivot for e in hedges}
+    if 0 in shrunk:
+        incl = (0,)
+    else:
+        forced_out = _union(e for e in shrunk if e & (e - 1) == 0)
+        remaining = frozenset(e for e in shrunk if not e & forced_out)
         sub = _profile_over(remaining, memo)
-        freed = ncov - 1 - len(forced_out) - len(set(v for e in remaining for v in e))
+        freed = ncov - 1 - forced_out.bit_count() - _union(remaining).bit_count()
         incl = _convolve(sub, _binomial_row(freed)) if freed else sub
         incl = (0,) + tuple(incl)  # shift: pivot itself is in the set
-    else:
-        incl = (0,)
 
     total_len = ncov + 1
     result = tuple(
@@ -237,13 +232,34 @@ def _count_component(hedges: frozenset[tuple[int, ...]], memo: dict) -> tuple[in
     return result
 
 
-def _profile_over(hedges: frozenset[tuple[int, ...]], memo: dict) -> tuple[int, ...]:
+def _profile_over(hedges: frozenset[int], memo: dict) -> tuple[int, ...]:
     """Counts by size over the covered vertices of hedges (1-profile if none)."""
     if not hedges:
         return (1,)
-    comps = _components(hedges)
-    profiles = [_count_component(c, memo) for c in comps]
+    profiles = [_count_component(c, memo) for c in _components(hedges)]
     return reduce(_convolve, profiles)
+
+
+def covered_profile(hyperedges) -> tuple[int, ...]:
+    """Independent-set counts by size over the vertices lying in some hyperedge.
+
+    The one exact counting engine: independence_profile and
+    exact.tf_profile/tf_poly are maps over it.  Covered vertices are
+    renumbered to bit positions and hyperedges become int masks; the count
+    branches on a highest-degree vertex, splits into connected components
+    and memoizes sub-hypergraphs.  Entry s counts the s-subsets of the
+    covered vertices; callers check the size limit first.
+    """
+    covered = sorted({v for e in hyperedges for v in e})
+    bit = {v: 1 << i for i, v in enumerate(covered)}
+    return _profile_over(frozenset(_union(bit[v] for v in e) for e in hyperedges), {})
+
+
+def add_free_vertices(core, vertex_count: int) -> tuple[int, ...]:
+    """Counts over vertex_count vertices from the counts over the covered
+    ones: each uncovered vertex is free, a binomial convolution."""
+    free = vertex_count - (len(core) - 1)
+    return _convolve(core, _binomial_row(free)) if free else tuple(core)
 
 
 def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:
@@ -258,10 +274,8 @@ def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:
             f"{len(covered)} covered vertices exceeds the exact limit "
             f"{MAX_COVERED_VERTICES}"
         )
-    core = _profile_over(frozenset(h.hyperedges), {})
-    free = h.vertex_count - len(covered)
-    counts = _convolve(core, _binomial_row(free)) if free else tuple(core)
-    return IndependenceProfile(h.vertex_count, _pad(counts, h.vertex_count + 1))
+    core = covered_profile(h.hyperedges)
+    return IndependenceProfile(h.vertex_count, add_free_vertices(core, h.vertex_count))
 
 
 def independence_probability(h: CliqueHypergraph, p) -> Fraction:

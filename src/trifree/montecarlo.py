@@ -19,7 +19,8 @@ from math import sqrt
 
 import numpy as np
 
-from .graphs import Graph, cliques
+from .graphs import Graph
+from .hypergraph import clique_edge_indices
 
 LANE_SIZE = 1 << 14
 Z95 = 1.959963984540054  # normal quantile at 0.975
@@ -115,29 +116,13 @@ def estimate_tf(
         raise ValueError(f"p must lie strictly inside (0, 1), got {p_exact}")
     p_float = float(p_exact)
 
-    copies = cliques(g, clique_order)
-    covered: list[int] = sorted(
-        {
-            g.edge_index(members[i], members[j])
-            for members in copies
-            for i in range(clique_order)
-            for j in range(i + 1, clique_order)
-        }
-    )
+    copies = clique_edge_indices(g, clique_order)
+    covered = sorted({e for idx in copies for e in idx})
     if not covered:
         return Estimate(1.0, 1.0, 1.0, samples, seed, samples, p_exact)
+    # columns in sorted edge-index order fix the Philox draw layout
     pos = {e: i for i, e in enumerate(covered)}
-    hyper_cols = [
-        np.array(
-            sorted(
-                pos[g.edge_index(members[i], members[j])]
-                for i in range(clique_order)
-                for j in range(i + 1, clique_order)
-            ),
-            dtype=np.intp,
-        )
-        for members in copies
-    ]
+    hyper_cols = [np.array([pos[e] for e in idx], dtype=np.intp) for idx in copies]
     c = len(covered)
 
     lanes = [

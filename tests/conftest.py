@@ -2,15 +2,19 @@
 
 The oracles deliberately avoid the library's fast paths: subgraph-freeness
 is decided by scanning vertex subsets against the adjacency relation, not
-via edge-index hyperedge masks, so profile comparisons are a genuine
-cross-check.
+via the library's clique-to-edge-index routine or its counting engine, so
+profile comparisons are a genuine cross-check.  brute_tf_profile walks all
+2^m edge subsets; subset_tf_profile enumerates only the covered edges'
+subsets with numpy, for graphs too big for the former.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
+import numpy as np
 import pytest
 
 from trifree import (
@@ -53,6 +57,46 @@ def brute_tf_profile(g: Graph, order: int = 3) -> tuple[int, ...]:
         kept = frozenset(g.edges[i] for i in range(m) if (bits >> i) & 1)
         if not any(ps <= kept for ps in pair_sets):
             counts[len(kept)] += 1
+    return tuple(counts)
+
+
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def subset_tf_profile(g: Graph, order: int = 3) -> tuple[int, ...]:
+    """K_order-free edge-subset counts by size, by vectorized enumeration of
+    every subset of the covered edges (those lying in some K_order copy).
+
+    A second route next to the library's branching engine for graphs too
+    big for brute_tf_profile: 2^c subsets for c covered edges, so up to
+    about c = 24.  Copies are found by scanning vertex subsets; the edges
+    outside every copy are spread over the counts by a binomial row.
+    Bits are counted by a byte table, not np.bitwise_count (numpy >= 2).
+    """
+    index = {e: i for i, e in enumerate(g.edges)}
+    copies = [
+        [index[pair] for pair in combinations(members, 2)]
+        for members in combinations(range(g.n), order)
+        if all(g.has_edge(u, v) for u, v in combinations(members, 2))
+    ]
+    covered = sorted({e for copy in copies for e in copy})
+    pos = {e: i for i, e in enumerate(covered)}
+    masks = [np.uint64(sum(1 << pos[e] for e in copy)) for copy in copies]
+    c = len(covered)
+    core = np.zeros(c + 1, dtype=np.int64)
+    chunk = 1 << 20
+    for base in range(0, 1 << c, chunk):
+        idx = np.arange(base, min(base + chunk, 1 << c), dtype=np.uint64)
+        ok = np.ones(idx.shape, dtype=bool)
+        for mask in masks:
+            ok &= (idx & mask) != mask
+        sizes = _POPCOUNT8[idx[ok].view(np.uint8)].reshape(-1, 8).sum(axis=1)
+        core += np.bincount(sizes, minlength=c + 1)
+    free = g.m - c
+    counts = [0] * (g.m + 1)
+    for j, x in enumerate(core):
+        for i in range(free + 1):
+            counts[j + i] += int(x) * comb(free, i)
     return tuple(counts)
 
 
@@ -114,6 +158,15 @@ def wheel5() -> Graph:
     edges = [(0, k) for k in range(1, 6)]
     edges += [(k, k % 5 + 1) for k in range(1, 6)]
     return build_graph(6, edges)
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    """K_{a,b,...}: vertices in consecutive blocks, edges between blocks."""
+    block = [b for b, size in enumerate(parts) for _ in range(size)]
+    n = len(block)
+    return build_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] != block[v]]
+    )
 
 
 def octahedron() -> Graph:

@@ -21,6 +21,8 @@ def test_parse_probability():
     assert parse_probability("1") == (Fraction(1), False)
     with pytest.raises(ValueError):
         parse_probability("half")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_probability("1/0")
 
 
 def test_resolve_graph_constructors():
@@ -120,6 +122,25 @@ def test_phi_p_out_of_range_exit_2(capsys):
     code, _, err = run_cli(capsys, ["phi", "--graph", "Bw", "--p", "3/2"])
     assert code == 2
     assert "[0, 1]" in err
+
+
+def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("exact counting ran before --p was parsed")
+
+    monkeypatch.setattr("trifree.cli.tf_profile", no_counting)
+    monkeypatch.setattr("trifree.cli.tf_poly", no_counting)
+    code, out, err = run_cli(capsys, ["phi", "--construct", "K:3,3", "--p", "1/0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_bipartite_construct_needs_two_sizes(capsys):
+    for bad in ("K:3", "K:1,2,3"):
+        code, _, err = run_cli(capsys, ["phi", "--construct", bad])
+        assert code == 2, bad
+        assert err.startswith("error:") and "K:a,b" in err, bad
 
 
 def test_limit_exceeded_exit_3(capsys):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import brute_tf_profile
+from conftest import brute_tf_profile, complete_multipartite, subset_tf_profile
 from trifree import (
     LimitExceededError,
     Poly,
@@ -158,15 +158,19 @@ def test_poly_sub_and_divides():
 
 
 def test_k7_engines_agree_near_limit():
-    # 21 covered edges: too big for the naive oracle, so cross-check the
-    # vectorized subset engine against the branch-and-factor engine
+    # 21 and 24 covered edges: too big for the naive oracle, so cross-check
+    # the branching engine against the vectorized subset enumeration
     from trifree import independence_profile
 
     k7 = complete_graph(7)
-    prof = tf_profile(k7)
-    hyper = independence_profile(from_graph(k7))
-    assert prof.counts == hyper.counts
-    assert prof.counts[3] == comb(21, 3) - triangle_count(k7)
+    k2222 = complete_multipartite(2, 2, 2, 2)
+    for g, k in ((k7, 3), (k2222, 4)):
+        prof = tf_profile(g, k)
+        assert prof.counts == subset_tf_profile(g, k), k
+        assert prof.counts == independence_profile(from_graph(g, k)).counts, k
+    assert tf_profile(k7).counts[3] == comb(21, 3) - triangle_count(k7)
+    # 16 K4 copies, each needs 6 edges: the first missing sizes are 6-subsets
+    assert tf_profile(k2222, 4).counts[6] == comb(24, 6) - 16
 
 
 def test_covered_edge_limit():
@@ -175,6 +179,26 @@ def test_covered_edge_limit():
         tf_profile(complete_graph(9))
     with pytest.raises(LimitExceededError):
         tf_poly(complete_graph(9))
+
+
+def test_covered_edge_limit_boundary():
+    from trifree import independence_profile
+
+    # ten disjoint triangles: exactly 30 covered edges, at the limit
+    at_limit = build_graph(
+        30, [(3 * i + a, 3 * i + b) for i in range(10) for a, b in ((0, 1), (0, 2), (1, 2))]
+    )
+    want = (Poly((1, 3, 3)) ** 10).coeffs + (0,) * 10  # no subset above 20 edges
+    assert tf_profile(at_limit).counts == want
+    assert independence_profile(from_graph(at_limit)).counts == want
+    assert tf_poly(at_limit) == Poly((1, 0, 0, -1)) ** 10
+    # mantel+1:30: 15 triangles on the extra edge, 1 + 2*15 = 31 covered edges
+    over = mantel_plus_one(30)
+    for count in (tf_profile, tf_poly):
+        with pytest.raises(LimitExceededError, match="31 covered edges"):
+            count(over)
+    with pytest.raises(LimitExceededError, match="31 covered vertices"):
+        independence_profile(from_graph(over))
 
 
 def test_profile_clique_order_beyond_any_copy():

@@ -9,6 +9,7 @@ from trifree import (
     CliqueHypergraph,
     complete_bipartite,
     complete_graph,
+    estimate_tf,
     flower,
     from_graph,
     independence_probability,
@@ -18,9 +19,11 @@ from trifree import (
     mantel_plus_one,
     parse_hypergraph,
     random_linear_hypergraph,
+    tf_profile,
     write_hypergraph,
 )
 from trifree.errors import LimitExceededError
+from trifree.hypergraph import clique_edge_indices
 
 P_GRID = tuple(Fraction(k, 10) for k in (1, 2, 5, 7, 9)) + (Fraction(1, 4), Fraction(3, 4))
 
@@ -62,6 +65,20 @@ def test_from_graph_examples():
 
     with pytest.raises(ValueError):
         from_graph(complete_graph(4), clique_order=2)
+
+
+def test_clique_edge_indices():
+    k4 = complete_graph(4)  # edges 01 02 03 12 13 23 have indices 0..5
+    assert clique_edge_indices(k4, 3) == [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]
+    assert clique_edge_indices(k4, 4) == [(0, 1, 2, 3, 4, 5)]
+    assert clique_edge_indices(k4, 2) == [(e,) for e in range(6)]
+    # a K_1 has no edge: rejected by every caller, not counted as a copy
+    with pytest.raises(ValueError):
+        clique_edge_indices(k4, 1)
+    with pytest.raises(ValueError):
+        tf_profile(k4, 1)
+    with pytest.raises(ValueError):
+        estimate_tf(k4, Fraction(1, 2), 10, seed=0, clique_order=1)
 
 
 def test_is_linear():
