@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import graphs, montecarlo, search, verify
 from .errors import LimitExceededError
-from .exact import poly_eval, tf_poly, tf_profile
+from .exact import poly_eval, tf_profile_and_poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -117,8 +117,7 @@ def cmd_phi(args) -> int:
     g = _graph_from_args(args)
     # a bad --p is a usage error before any exact counting runs
     parsed_p = parse_probability(args.p) if args.p is not None else None
-    prof = tf_profile(g, args.k)
-    poly = tf_poly(g, args.k)
+    prof, poly = tf_profile_and_poly(g, args.k)
     payload = {
         "graph6": graphs.write_graph6(g),
         "n": g.n,

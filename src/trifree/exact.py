@@ -50,6 +50,16 @@ def _covered_core(g: Graph, clique_order: int) -> tuple[int, ...]:
     return covered_profile(copies)
 
 
+def _core_poly(core: tuple[int, ...]) -> Poly:
+    """sum_j core[j] p^j (1-p)^(c-j) over the c covered edges."""
+    c = len(core) - 1
+    total = Poly.zero()
+    for j, x in enumerate(core):
+        if x:
+            total = total + Poly.one_minus_x_power(c - j).scale(x).shift(j)
+    return total
+
+
 def tf_profile(g: Graph, clique_order: int = 3) -> TfProfile:
     """Exact counts of K_k-free edge subsets by size."""
     core = _covered_core(g, clique_order)
@@ -63,13 +73,13 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     Equals sum_s tf(g, s) p^s (1-p)^(m-s); edges outside every copy cancel
     (p + (1-p) = 1), so the degree is at most the covered-edge count.
     """
-    cov = _covered_core(g, clique_order)
-    c = len(cov) - 1
-    total = Poly.zero()
-    for j, x in enumerate(cov):
-        if x:
-            total = total + Poly.one_minus_x_power(c - j).scale(x).shift(j)
-    return total
+    return _core_poly(_covered_core(g, clique_order))
+
+
+def tf_profile_and_poly(g: Graph, clique_order: int = 3) -> tuple[TfProfile, Poly]:
+    """(tf_profile(g, k), tf_poly(g, k)) from one run of the counting engine."""
+    core = _covered_core(g, clique_order)
+    return TfProfile(g.m, add_free_vertices(core, g.m), clique_order), _core_poly(core)
 
 
 def poly_eval(poly: Poly, p) -> Fraction:

@@ -222,6 +222,22 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def twin_classes(g: Graph) -> list[int]:
+    """classes[v] = bitmask of the twin class of v (v included).
+
+    v and w are twins when N(v) - w == N(w) - v: false twins share their
+    open neighborhood, true twins their closed one.  No open neighborhood
+    equals another vertex's closed one, and no vertex has both a false and
+    a true twin, so the classes partition the vertices.  Swapping two twins
+    is an automorphism fixing every other vertex.
+    """
+    groups: dict[int, int] = {}
+    for v, a in enumerate(g.adj):
+        for nbhd in (a, a | 1 << v):
+            groups[nbhd] = groups.get(nbhd, 0) | 1 << v
+    return [groups[a] | groups[a | 1 << v] for v, a in enumerate(g.adj)]
+
+
 def _min_colex_search(g: Graph):
     """Minimal colex adjacency bit-string over all relabelings.
 
@@ -229,49 +245,61 @@ def _min_colex_search(g: Graph):
     significant first) give the adjacency of position k to positions
     0..k-1; perm[i] is the original vertex placed at position i.  The
     concatenated levels are exactly the graph6 bit stream of the relabeled
-    graph.  Branch-and-bound on the shared prefix keeps this fast for
-    n <= 10.
+    graph.
+
+    The unplaced vertices form an ordered partition: cells of equal row,
+    in increasing row order.  Level k must take the smallest row, so only
+    vertices of the first cell are tried, and placing v splits each cell
+    into its non-neighbors of v, then its neighbors (rows gain one bit).
+    Of several twins in the first cell only one is tried: swapping it with
+    a twin maps its subtree onto the twin's, so the minimum is unchanged.
+    Branch-and-bound on the shared prefix prunes the rest.
     """
     n, adj = g.n, g.adj
-    best_levels: list[int] | None = None
-    best_perm: list[int] | None = None
-    generation = 0
+    twins = twin_classes(g)
+    levels = [0] * n
+    placed = [0] * n
+    best_levels: list[int] = []
+    best_perm: list[int] = []
 
-    def rec(placed: list[int], rem: list[int], levels: list[int], tight: bool):
-        nonlocal best_levels, best_perm, generation
-        k = len(placed)
-        if k == n:
-            best_levels = levels.copy()
-            best_perm = placed.copy()
-            generation += 1
-            return
-        scored = []
-        for v in rem:
-            av = adj[v]
-            row = 0
-            for u in placed:
-                row = (row << 1) | ((av >> u) & 1)
-            scored.append((row, v))
-        scored.sort()
-        my_tight = tight
-        for row, v in scored:
-            if best_levels is not None and my_tight:
-                if row > best_levels[k]:
-                    break  # candidates are sorted; the rest are worse
-                child_tight = row == best_levels[k]
-            else:
-                child_tight = False
-            gen_before = generation
-            placed.append(v)
-            levels.append(row)
-            rec(placed, [u for u in rem if u != v], levels, child_tight)
-            placed.pop()
-            levels.pop()
-            if generation != gen_before:
-                # new best descends from this prefix, so we are tight again
-                my_tight = True
+    def rec(k: int, row: int, first: int, rest: list, tight: bool) -> bool:
+        """Search below the prefix levels[:k] + [row], where first is the
+        cell of that row and rest the later (row, cell) pairs; tight iff the
+        prefix equals the best one.  Returns True iff a new best was found."""
+        nonlocal best_levels, best_perm
+        levels[k] = row
+        if k == n - 1:
+            placed[k] = first.bit_length() - 1
+            if tight:
+                return False  # equal to the best, not better
+            best_levels, best_perm = levels.copy(), placed.copy()
+            return True
+        improved = False
+        candidates = first
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            candidates &= ~twins[v]
+            a = adj[v]
+            child = []
+            for r, cell in ((row, first ^ low), *rest):
+                if cell & ~a:
+                    child.append((r << 1, cell & ~a))
+                if cell & a:
+                    child.append((r << 1 | 1, cell & a))
+            child_row, child_first = child[0]
+            child_tight = tight
+            if tight:
+                if child_row > best_levels[k + 1]:
+                    continue
+                child_tight = child_row == best_levels[k + 1]
+            placed[k] = v
+            if rec(k + 1, child_row, child_first, child[1:], child_tight):
+                # the new best shares this prefix, so later siblings are tight
+                improved = tight = True
+        return improved
 
-    rec([], list(range(n)), [], True)
+    rec(0, 0, (1 << n) - 1, [], False)
     return best_levels, best_perm
 
 
@@ -287,11 +315,7 @@ def canonical_form(g: Graph) -> bytes:
             f"canonical form supports n <= {MAX_CANONICAL_N}, got n={g.n}"
         )
     levels, _ = _min_colex_search(g)
-    bits = []
-    for k in range(1, g.n):
-        row = levels[k]
-        bits.extend((row >> (k - 1 - i)) & 1 for i in range(k))
-    return _graph6_encode(g.n, bits).encode("ascii")
+    return _graph6_encode(g.n, levels).encode("ascii")
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -313,25 +337,27 @@ def canonical_graph(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _graph6_encode(n: int, bits: list[int]) -> str:
-    chars = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+def _graph6_encode(n: int, rows: list[int]) -> str:
+    """graph6 text from rows: rows[v] holds v bits, the adjacency of v to
+    0..v-1 with vertex 0 most significant (rows[0] is unused)."""
+    stream = 0
+    for v in range(1, n):
+        stream = stream << v | rows[v]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    stream <<= pad
+    shifts = range(nbits + pad - 6, -1, -6)
+    return chr(n + 63) + "".join(chr(63 + (stream >> s & 63)) for s in shifts)
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical short-form graph6 encoding (ASCII, n <= 62)."""
-    bits = []
+    rows = [0] * g.n
     for v in range(1, g.n):
+        a = g.adj[v]
         for u in range(v):
-            bits.append((g.adj[u] >> v) & 1)
-    return _graph6_encode(g.n, bits)
+            rows[v] = rows[v] << 1 | (a >> u & 1)
+    return _graph6_encode(g.n, rows)
 
 
 def parse_graph6(text: str) -> Graph:

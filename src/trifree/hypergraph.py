@@ -36,6 +36,8 @@ class CliqueHypergraph:
     clique_order: int = 3
 
     def __post_init__(self):
+        if self.clique_order < 2:
+            raise ValueError(f"clique order must be at least 2, got {self.clique_order}")
         size = comb(self.clique_order, 2)
         norm = []
         for e in self.hyperedges:

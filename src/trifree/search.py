@@ -1,9 +1,12 @@
 """Exhaustive search over isomorphism classes at fixed vertex and edge counts.
 
 Representatives are generated levelwise: the classes with m edges are the
-canonical dedup of every (m-1)-edge representative plus one new edge.
-Every m-edge graph contains an (m-1)-edge subgraph, so the ladder is
-complete; order is deterministic (sorted canonical forms).  On top of the
+canonical dedup of every (m-1)-edge representative plus one new edge, one
+edge per unordered pair of the representative's twin classes (the others
+are images under twin swaps).  Every m-edge graph contains an (m-1)-edge
+subgraph, so the ladder is complete; order is deterministic (sorted
+canonical forms).  A representative is the canonical relabeling itself,
+so write_graph6 names it.  On top of the
 enumeration sit the probability maximizer, the p-dependent upper envelope
 with exact crossover isolation, and the extremal-graph verifier.
 """
@@ -11,6 +14,7 @@ with exact crossover isolation, and the extremal-graph verifier.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +24,15 @@ from pathlib import Path
 from .bounds import linear_triple_bound, one_extra_edge_optimum
 from .errors import LimitExceededError
 from .exact import tf_poly
-from .graphs import Graph, canonical_form, mantel_plus_one, parse_graph6, triangle_count
+from .graphs import (
+    Graph,
+    canonical_form,
+    mantel_plus_one,
+    parse_graph6,
+    triangle_count,
+    twin_classes,
+    write_graph6,
+)
 from .polynomial import Poly
 
 MAX_ENUM_N = 8  # full enumeration limit; n = 8 is pruned-only and experimental
@@ -41,8 +53,15 @@ def _ladder(n: int, max_m: int) -> list[list[str]]:
         seen = set()
         for g6 in levels[-1]:
             g = parse_graph6(g6)
+            twins = twin_classes(g)
+            tried = set()
             for u, v in g.non_edges():
-                seen.add(canonical_form(g.with_edge(u, v)).decode("ascii"))
+                # twin swaps map each non-edge onto every other one joining
+                # the same two twin classes, so one of them suffices
+                pair = twins[u] | twins[v]
+                if pair not in tried:
+                    tried.add(pair)
+                    seen.add(canonical_form(g.with_edge(u, v)).decode("ascii"))
         levels.append(sorted(seen))
     return levels
 
@@ -130,9 +149,9 @@ def maximize_tf(n: int, i: int, p, prune: bool = False) -> SearchReport:
         value = tf_poly(g).eval(p)
         if best is None or value > best:
             best = value
-            winners = [canonical_form(g).decode("ascii")]
+            winners = [write_graph6(g)]
         elif value == best:
-            winners.append(canonical_form(g).decode("ascii"))
+            winners.append(write_graph6(g))
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return SearchReport(
         n, i, p, tuple(sorted(winners)), best, len(reps), pruned, runtime_ms
@@ -356,7 +375,7 @@ def envelope(n: int, i: int, tol=Fraction(1, 10**12)) -> EnvelopeReport:
     reps = enumerate_graphs(n, m)
     by_poly: dict[Poly, list[str]] = {}
     for g in reps:
-        by_poly.setdefault(tf_poly(g), []).append(canonical_form(g).decode("ascii"))
+        by_poly.setdefault(tf_poly(g), []).append(write_graph6(g))
     polys = sorted(by_poly, key=lambda q: q.coeffs)
 
     # grid screening: keep polynomials maximal somewhere on the grid
@@ -485,9 +504,9 @@ def verify_one_extra_optimum(n: int, prune: bool = False) -> OptimumVerification
         poly = tf_poly(g)
         values = [poly.eval(p) for p in p_values]
         if any(v > target_at[p] for v, p in zip(values, p_values)):
-            violations.append(canonical_form(g).decode("ascii"))
+            violations.append(write_graph6(g))
         elif all(v == target_at[p] for v, p in zip(values, p_values)):
-            equality.append(canonical_form(g).decode("ascii"))
+            equality.append(write_graph6(g))
     passed = not violations and equality == [construction]
     return OptimumVerification(
         n,
@@ -506,6 +525,16 @@ def verify_one_extra_optimum(n: int, prune: bool = False) -> OptimumVerification
 # ---------------------------------------------------------------------------
 
 
+def _keep_rows(path: Path, rows: int) -> int:
+    """Cut a CSV export after its header and at most `rows` data rows;
+    returns the data rows kept."""
+    with open(path, "r+b") as fh:
+        lines = fh.readlines()
+        keep = max(0, min(rows, len(lines) - 1))
+        fh.truncate(sum(len(line) for line in lines[: keep + 1]))
+    return keep
+
+
 def export_classes_csv(
     n: int, m: int, path: str | Path, checkpoint_path: str | Path | None = None
 ) -> int:
@@ -514,37 +543,40 @@ def export_classes_csv(
     The checkpoint file holds a single line "n m next_rank", where
     next_rank is the index of the next class in the deterministic
     enumeration order; an existing matching checkpoint resumes the export,
-    appending only the remaining rows.  Returns the number of rows written
-    by this call.
+    appending only the remaining rows.  Each row is flushed before the
+    checkpoint is replaced (atomically) to count it, and a resume first
+    cuts the CSV back to the rows the checkpoint counts, so an export
+    killed at any point resumes to the same bytes as an uninterrupted one.
+    Returns the number of rows written by this call.
     """
     path = Path(path)
     reps = enumerate_graphs(n, m)
     start = 0
     if checkpoint_path is not None:
         checkpoint_path = Path(checkpoint_path)
-        if checkpoint_path.exists():
+        if checkpoint_path.exists() and path.exists():
             fields = checkpoint_path.read_text().split()
             if len(fields) == 3 and int(fields[0]) == n and int(fields[1]) == m:
-                start = int(fields[2])
-    mode = "a" if start > 0 and path.exists() else "w"
-    if mode == "w":
-        start = 0
+                start = _keep_rows(path, int(fields[2]))
     written = 0
-    with open(path, mode, newline="") as fh:
+    with open(path, "a" if start > 0 else "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
+        if start == 0:
             writer.writerow(["graph6", "triangles", "coeffs"])
         for rank in range(start, len(reps)):
             g = reps[rank]
             poly = tf_poly(g)
             writer.writerow(
                 [
-                    canonical_form(g).decode("ascii"),
+                    write_graph6(g),
                     triangle_count(g),
                     " ".join(str(c) for c in poly.coeffs),
                 ]
             )
             written += 1
             if checkpoint_path is not None:
-                checkpoint_path.write_text(f"{n} {m} {rank + 1}\n")
+                fh.flush()
+                staged = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
+                staged.write_text(f"{n} {m} {rank + 1}\n")
+                os.replace(staged, checkpoint_path)
     return written

@@ -6,6 +6,7 @@ via the library's clique-to-edge-index routine or its counting engine, so
 profile comparisons are a genuine cross-check.  brute_tf_profile walks all
 2^m edge subsets; subset_tf_profile enumerates only the covered edges'
 subsets with numpy, for graphs too big for the former.
+brute_canonical_name tries all n! relabelings, with no pruning.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from trifree import (
     complete_graph,
     mantel_plus_one,
     two_extra_edge_candidates,
+    write_graph6,
 )
 
 
@@ -133,6 +135,18 @@ def automorphism_count(g: Graph) -> int:
         ):
             total += 1
     return total
+
+
+def brute_canonical_name(g: Graph) -> str:
+    """graph6 of the relabeling with the least colex bit string, by trying
+    all n! orders; position i holds old vertex order[i]."""
+    n, adj = g.n, g.adj
+    best = min(
+        tuple(adj[order[i]] >> order[j] & 1 for i in range(1, n) for j in range(i))
+        for order in permutations(range(n))
+    )
+    pairs = [(j, i) for i in range(1, n) for j in range(i)]
+    return write_graph6(build_graph(n, [e for e, bit in zip(pairs, best) if bit]))
 
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from trifree import canonical_form, mantel_plus_one, two_extra_edge_candidates, write_graph6
+from trifree import (
+    canonical_form,
+    mantel_plus_one,
+    tf_poly,
+    tf_profile,
+    two_extra_edge_candidates,
+    write_graph6,
+)
+from trifree import exact
 from trifree.cli import main, parse_probability, resolve_graph
 from trifree.verify import check_linear_bound, check_ls, check_one_extra, check_two_extra
 
@@ -128,12 +136,36 @@ def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
     def no_counting(*args):
         raise AssertionError("exact counting ran before --p was parsed")
 
-    monkeypatch.setattr("trifree.cli.tf_profile", no_counting)
-    monkeypatch.setattr("trifree.cli.tf_poly", no_counting)
+    monkeypatch.setattr("trifree.exact.covered_profile", no_counting)
     code, out, err = run_cli(capsys, ["phi", "--construct", "K:3,3", "--p", "1/0"])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_phi_counts_the_covered_core_once(capsys, monkeypatch):
+    engine = exact.covered_profile
+    calls = []
+
+    def counted(copies):
+        calls.append(len(copies))
+        return engine(copies)
+
+    g = mantel_plus_one(7)
+    expected = {k: (tf_profile(g, k), tf_poly(g, k)) for k in (3, 4)}
+    monkeypatch.setattr("trifree.exact.covered_profile", counted)
+    for k, (prof, poly) in expected.items():
+        for fmt in ("json", "text", "csv"):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys, ["phi", "--construct", "mantel+1:7", "--k", str(k),
+                         "--p", "1/3", "--format", fmt])
+            assert code == 0
+            assert len(calls) == 1, fmt
+            if fmt == "json":
+                payload = json.loads(out)
+                assert payload["profile"] == [str(c) for c in prof.counts]
+                assert payload["polynomial"] == poly.to_json_dict()
 
 
 def test_bipartite_construct_needs_two_sizes(capsys):

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from conftest import are_isomorphic, brute_triangles, random_graph
+from conftest import are_isomorphic, brute_canonical_name, brute_triangles, random_graph
 from trifree import (
     LimitExceededError,
     build_graph,
@@ -18,7 +19,8 @@ from trifree import (
     two_extra_edge_candidates,
     write_graph6,
 )
-from trifree.graphs import cliques
+from trifree.graphs import cliques, twin_classes
+from trifree.search import _ladder
 
 
 def test_build_graph_basics():
@@ -139,6 +141,58 @@ def test_canonical_form_invariance():
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_form(g.permuted(perm)) == base
+
+
+def test_canonical_form_matches_brute_force_minimum():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for level in _ladder(n, n * (n - 1) // 2):
+            for g6 in level:
+                g = parse_graph6(g6)
+                assert brute_canonical_name(g) == g6
+                assert canonical_form(g).decode("ascii") == g6
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    assert canonical_form(g.permuted(perm)).decode("ascii") == g6
+
+
+def test_twin_classes_match_definition():
+    rng = random.Random(11)
+    graphs = [complete_graph(5), complete_bipartite(2, 3), mantel_plus_one(7), build_graph(4, [])]
+    graphs += [random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+               for n in rng.choices(range(1, 9), k=200)]
+    for g in graphs:
+        classes = twin_classes(g)
+        for v in range(g.n):
+            for w in range(g.n):
+                twins = g.adj[v] & ~(1 << w) == g.adj[w] & ~(1 << v)
+                assert bool(classes[v] >> w & 1) == twins, (g.edges, v, w)
+
+
+def test_canonical_form_symmetric_graphs_at_n10():
+    petersen = build_graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    )
+    expected = [
+        (build_graph(10, []), "I????????"),
+        (complete_graph(10), "I~~~~~~~w"),
+        (complete_bipartite(5, 5), "I?B~vrw}?"),
+        (mantel_plus_one(10), "I?B~vrw}G"),
+        (petersen, "I?LRCecq?"),
+    ]
+    rng = random.Random(10)
+    for g, name in expected:
+        started = time.perf_counter()
+        assert canonical_form(g).decode("ascii") == name
+        assert time.perf_counter() - started < 1.0, name
+        perm = list(range(10))
+        rng.shuffle(perm)
+        assert canonical_form(g.permuted(perm)).decode("ascii") == name
+        assert write_graph6(canonical_graph(g)) == name
 
 
 def test_canonical_form_separates_classes():

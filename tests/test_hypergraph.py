@@ -49,6 +49,18 @@ def test_construction_validation():
     assert h.hyperedges == ((0, 1, 2),)
 
 
+def test_clique_order_below_two_rejected():
+    # C(1, 2) = C(0, 2) = 0 would admit empty hyperedges
+    for order in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"clique order must be at least 2, got {order}"):
+            CliqueHypergraph(2, ((),), clique_order=order)
+        with pytest.raises(ValueError, match=f"got {order}"):
+            CliqueHypergraph(2, (), clique_order=order)
+    # order 2: each hyperedge is one vertex, which no independent set holds
+    h = CliqueHypergraph(3, ((1,),), clique_order=2)
+    assert independence_profile(h).counts == (1, 2, 1, 0)
+
+
 def test_from_graph_examples():
     h = from_graph(complete_graph(4))
     assert h.vertex_count == 6

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import trifree
 from conftest import automorphism_count
 from trifree import (
     LimitExceededError,
@@ -21,7 +26,7 @@ from trifree import (
     two_extra_edge_candidates,
     verify_one_extra_optimum,
 )
-from trifree.search import count_roots
+from trifree.search import _ladder, count_roots
 
 
 def test_enumerate_single_classes():
@@ -52,6 +57,15 @@ def test_enumerate_n7_full_ladder_structure():
     assert counts == counts[::-1]
     assert sum(counts) == 1044
     assert counts[:6] == [1, 1, 2, 5, 10, 21]
+
+
+def test_ladder_level_sizes_match_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    sizes = [0] * 22
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 7:
+            sizes[h.number_of_edges()] += 1
+    assert [len(level) for level in _ladder(7, 21)] == sizes
 
 
 def test_enumerate_representatives_pairwise_nonisomorphic():
@@ -296,7 +310,61 @@ def test_export_classes_csv(tmp_path):
     # resume: nothing left to do
     assert export_classes_csv(5, 6, out, checkpoint_path=ck) == 0
     assert len(out.read_text().strip().splitlines()) == written + 1
-    # partial checkpoint resumes mid-stream
+    # a checkpoint behind the CSV resumes mid-stream, cutting the CSV back
+    # to the rows it counts
+    whole = out.read_bytes()
     ck.write_text(f"5 6 {written - 2}\n")
     assert export_classes_csv(5, 6, out, checkpoint_path=ck) == 2
-    assert len(out.read_text().strip().splitlines()) == written + 3
+    assert out.read_bytes() == whole
+
+
+# Runs one export in a child process that dies (os._exit: no buffer is
+# flushed) just before or just after its k-th write of the checkpoint,
+# whether the checkpoint is written in place or moved there by os.replace.
+_KILLED_EXPORT = """
+import os, pathlib, sys
+from trifree import export_classes_csv
+
+out, ck, k, when = sys.argv[1], pathlib.Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+count = 0
+
+def counted(write, target_of):
+    def wrapped(*args, **kwargs):
+        global count
+        hit = pathlib.Path(target_of(args)) == ck
+        count += hit
+        if hit and count == k and when == "before":
+            os._exit(0)
+        result = write(*args, **kwargs)
+        if hit and count == k and when == "after":
+            os._exit(0)
+        return result
+    return wrapped
+
+os.replace = counted(os.replace, lambda args: args[1])
+pathlib.Path.write_text = counted(pathlib.Path.write_text, lambda args: args[0])
+export_classes_csv(5, 6, out, checkpoint_path=ck)
+os._exit(3)  # never killed: fewer than k checkpoint writes
+"""
+
+
+@pytest.mark.parametrize("k, when", [(1, "after"), (4, "after"), (4, "before")])
+def test_export_resumes_after_kill(tmp_path, k, when):
+    src = Path(trifree.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out, ck = tmp_path / "classes.csv", tmp_path / "ck.txt"
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_EXPORT, str(out), str(ck), str(k), when],
+        env=env, timeout=120,
+    )
+    assert child.returncode == 0
+    counted = k if when == "after" else k - 1
+    assert ck.read_text().split() == ["5", "6", str(counted)]
+    # the k-th row reached the file before its checkpoint write began
+    assert out.read_bytes().count(b"\n") == 1 + k
+    resumed = export_classes_csv(5, 6, out, checkpoint_path=ck)
+    assert resumed == len(enumerate_graphs(5, 6)) - counted
+    one_shot = tmp_path / "one_shot.csv"
+    export_classes_csv(5, 6, one_shot)
+    assert out.read_bytes() == one_shot.read_bytes()
