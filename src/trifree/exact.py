@@ -89,12 +89,3 @@ def poly_eval(poly: Poly, p) -> Fraction:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return poly.eval(p)
 
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    """Coefficient-wise difference a - b (may have negative leading sign)."""
-    return a - b
-
-
-def poly_divides_check(a: Poly, b: Poly) -> bool:
-    """True iff b divides a exactly (zero remainder over the rationals)."""
-    return b.divides(a)

@@ -70,6 +70,19 @@ class IndependenceProfile:
     vertex_count: int
     counts: tuple[int, ...] = field(repr=False)
 
+    def probability(self, p) -> Fraction:
+        """Exact probability that a Bernoulli(p) vertex subset is independent."""
+        p = Fraction(p)
+        if not 0 <= p <= 1:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        q = 1 - p
+        total = Fraction(0)
+        v = self.vertex_count
+        for s, c in enumerate(self.counts):
+            if c:
+                total += c * p**s * q ** (v - s)
+        return total
+
 
 def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
     """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
@@ -282,17 +295,7 @@ def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:
 
 def independence_probability(h: CliqueHypergraph, p) -> Fraction:
     """Exact probability that a Bernoulli(p) vertex subset is independent."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    prof = independence_profile(h)
-    q = 1 - p
-    total = Fraction(0)
-    v = h.vertex_count
-    for s, c in enumerate(prof.counts):
-        if c:
-            total += c * p**s * q ** (v - s)
-    return total
+    return independence_profile(h).probability(p)
 
 
 # ---------------------------------------------------------------------------

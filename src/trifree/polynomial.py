@@ -2,14 +2,15 @@
 
 Coefficients are plain Python ints (exact at any size); evaluation returns
 ``fractions.Fraction``.  This is all the symbolic machinery the package
-needs: probability polynomials in p, their differences, and exact division
-for factorization checks.
+needs: probability polynomials in p, their differences, exact division for
+factorization checks, and the integer primitive remainders that Sturm
+chains are built from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 class Poly:
@@ -172,6 +173,35 @@ class Poly:
                 raise ValueError("quotient has non-integer coefficients")
             out.append(q.numerator)
         return Poly(out)
+
+    def primitive(self) -> "Poly":
+        """self divided by the positive gcd of its coefficients."""
+        g = gcd(*self.coeffs)
+        return self if g <= 1 else Poly(tuple(c // g for c in self.coeffs))
+
+    def primitive_rem(self, divisor: "Poly") -> "Poly":
+        """Primitive part of a pseudo-remainder of self by divisor.
+
+        Each reduction step first scales the running remainder by
+        |lc(divisor)|, never by lc(divisor) itself: the result is a
+        positive multiple of the rational remainder, so it has the same
+        sign at every point, which Sturm chains rely on.
+        """
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        b = divisor.coeffs
+        lead = b[-1]
+        scale, sign = abs(lead), (1 if lead > 0 else -1)
+        rem = list(self.coeffs)
+        while len(rem) >= len(b):
+            q = sign * rem[-1]
+            k = len(rem) - len(b)
+            rem = [scale * c for c in rem]
+            for j, c in enumerate(b):
+                rem[j + k] -= q * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return Poly(rem).primitive()
 
     # -- rendering -------------------------------------------------------
 

@@ -159,79 +159,32 @@ def maximize_tf(n: int, i: int, p, prune: bool = False) -> SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# exact root isolation (Sturm chains over the rationals)
+# exact root isolation (Sturm chains on integer polynomials)
 # ---------------------------------------------------------------------------
 
 
-def _fr_poly(poly: Poly) -> list[Fraction]:
-    return [Fraction(c) for c in poly.coeffs]
-
-
-def _fr_eval(f: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _fr_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    rem = list(a)
-    while len(rem) >= len(b):
-        q = rem[-1] / b[-1]
-        k = len(rem) - len(b)
-        for j, c in enumerate(b):
-            rem[j + k] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
+def _sturm_chain(f: Poly) -> list[Poly]:
+    """Sturm chain of the squarefree part of f, each member scaled by a
+    positive constant (which leaves every sign variation count unchanged)."""
+    a, b = f, f.derivative()
+    while not b.is_zero():
+        a, b = b, a.primitive_rem(b)
+    if a.degree > 0:
+        # Gauss's lemma: dividing by a primitive factor leaves integers
+        f = f.quotient(a.primitive())
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero():
+        rem = chain[-2].primitive_rem(chain[-1])
+        if rem.is_zero():
             break
-    return rem
-
-
-def _fr_derivative(f: list[Fraction]) -> list[Fraction]:
-    return [j * c for j, c in enumerate(f)][1:]
-
-
-def _fr_divmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    db = len(b) - 1
-    dq = len(rem) - 1 - db
-    if dq < 0:
-        return [], rem
-    quot = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        q = rem[db + k] / b[-1]
-        quot[k] = q
-        if q:
-            for j, c in enumerate(b):
-                rem[j + k] -= q * c
-    rem = rem[:db]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _sturm_chain(f: list[Fraction]) -> list[list[Fraction]]:
-    """Sturm chain of the squarefree part of f."""
-    # squarefree reduction: divide by gcd(f, f')
-    a, b = list(f), _fr_derivative(f)
-    while b:
-        a, b = b, _fr_rem(a, b)
-    if len(a) > 1:
-        f, _ = _fr_divmod(f, a)
-    chain = [list(f), _fr_derivative(f)]
-    while chain[-1]:
-        rem = _fr_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
+        chain.append(-rem)
     return chain
 
 
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
+def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     signs = []
     for f in chain:
-        v = _fr_eval(f, x)
+        v = f.eval(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -239,10 +192,9 @@ def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
 
 def count_roots(poly: Poly, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
-    f = _fr_poly(poly)
-    if len(f) <= 1:
+    if poly.degree < 1:
         return 0
-    chain = _sturm_chain(f)
+    chain = _sturm_chain(poly)
     lo, hi = Fraction(lo), Fraction(hi)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
@@ -265,11 +217,10 @@ class RootInterval:
 def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInterval]:
     """Disjoint rational intervals of width <= tol, one per distinct root of
     poly in the open interval (lo, hi).  Endpoints must not be roots."""
-    f = _fr_poly(poly)
     lo, hi = Fraction(lo), Fraction(hi)
-    if _fr_eval(f, lo) == 0 or _fr_eval(f, hi) == 0:
+    if poly.eval(lo) == 0 or poly.eval(hi) == 0:
         raise ValueError("interval endpoint is a root; perturb the endpoints")
-    chain = _sturm_chain(f)
+    chain = _sturm_chain(poly)
 
     def var(x: Fraction) -> int:
         return _sign_variations(chain, x)
@@ -284,7 +235,7 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
             out.append(RootInterval(a, b))
             return
         mid = (a + b) / 2
-        while _fr_eval(f, mid) == 0:
+        while poly.eval(mid) == 0:
             # root exactly at the midpoint: nudge the cut inside the interval
             mid = (a + mid) / 2
         vm = var(mid)
@@ -297,8 +248,13 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
 
 
 def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInterval:
-    """Shrink a sign change of a - b to a rational interval of width <= tol
-    by exact-sign bisection."""
+    """Enclose a root of a - b where it changes sign on [lo, hi].
+
+    A root at an endpoint gives the degenerate interval there; no sign
+    change raises ValueError.  Otherwise this is the first interval of
+    isolate_roots(a - b, lo, hi, tol): with several roots inside, the
+    leftmost one (a root of even multiplicity included).
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     diff = a - b
     flo = diff.eval(lo)
@@ -311,17 +267,7 @@ def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInt
         raise ValueError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    tol = Fraction(tol)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = diff.eval(mid)
-        if fm == 0:
-            return RootInterval(mid, mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return RootInterval(lo, hi)
+    return isolate_roots(diff, lo, hi, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +275,27 @@ def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInt
 # ---------------------------------------------------------------------------
 
 _ENVELOPE_GRID = 64
+
+
+def _interior_roots(diff: Poly, tol) -> list[RootInterval]:
+    """Isolate every root of diff in the open interval (0, 1).
+
+    Differences of probability polynomials vanish at 0 and often at 1;
+    those factors p^a (1-p)^b are divided out exactly.  Bisection starts
+    from the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend on
+    them), each halved toward its end while the reduced polynomial still
+    has a root between the margin and that end.
+    """
+    low = next(j for j, c in enumerate(diff.coeffs) if c)
+    reduced = Poly(diff.coeffs[low:])
+    while reduced.eval(1) == 0:
+        reduced = reduced.quotient(Poly((1, -1)))
+    lo, hi = Fraction(1, 1 << 40), 1 - Fraction(1, 1 << 40)
+    while count_roots(reduced, 0, lo):
+        lo /= 2
+    while reduced.eval(hi) == 0 or count_roots(reduced, hi, 1):
+        hi = (hi + 1) / 2
+    return isolate_roots(reduced, lo, hi, tol)
 
 
 @dataclass(frozen=True)
@@ -392,18 +359,8 @@ def envelope(n: int, i: int, tol=Fraction(1, 10**12)) -> EnvelopeReport:
     for a_idx in range(len(cand)):
         for b_idx in range(a_idx + 1, len(cand)):
             diff = cand[a_idx] - cand[b_idx]
-            if diff.is_zero():
-                continue
-            # differences always vanish at 0 (and usually at 1); the margin
-            # 2^-40 clears every interior root: integer-coefficient
-            # differences at this scale have heights far below 2^40, which
-            # bounds roots away from 0 and 1 by the reciprocal height
-            lo, hi = Fraction(1, 1 << 40), 1 - Fraction(1, 1 << 40)
-            while diff.eval(lo) == 0:
-                lo /= 2
-            while diff.eval(hi) == 0:
-                hi = (hi + 1) / 2
-            roots.extend(isolate_roots(diff, lo, hi, tol))
+            if not diff.is_zero():
+                roots.extend(_interior_roots(diff, tol))
     roots.sort(key=lambda r: r.lo)
     merged: list[RootInterval] = []
     for r in roots:

@@ -14,7 +14,7 @@ from .exact import tf_poly
 from .graphs import triangle_count, two_extra_edge_candidates
 from .hypergraph import (
     from_graph,
-    independence_probability,
+    independence_profile,
     random_linear_hypergraph,
 )
 from .polynomial import Poly
@@ -77,13 +77,12 @@ def check_linear_bound(
         corpus.append(random_linear_hypergraph(12, 2 + k % 5, seed=seed + k))
 
     bad = 0
-    checked = 0
     first_failure = ""
     for h in corpus:
         bound = linear_triple_bound(h.edge_count)
+        profile = independence_profile(h)
         for p in _P_GRID:
-            checked += 1
-            if independence_probability(h, p) > bound.eval(p):
+            if profile.probability(p) > bound.eval(p):
                 bad += 1
                 if not first_failure:
                     first_failure = f"r={h.edge_count}, p={p}"

@@ -225,6 +225,10 @@ def test_verify_command_pass_and_fail(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(c["pass"] for c in payload["checks"])
+    # exact bytes of the crossover enclosure (bisection of [1/2, 3/4] to 10^-12)
+    crossover = payload["checks"][2]
+    assert crossover["lhs"] == "[305091459579/549755813888, 610182919159/1099511627776]"
+    assert crossover["witness"] == "approx 0.554958132087"
 
 
 def test_verify_one_extra_cli(capsys):

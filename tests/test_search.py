@@ -13,6 +13,7 @@ from conftest import automorphism_count
 from trifree import (
     LimitExceededError,
     Poly,
+    RootInterval,
     canonical_form,
     complete_graph,
     crossover_root,
@@ -26,7 +27,7 @@ from trifree import (
     two_extra_edge_candidates,
     verify_one_extra_optimum,
 )
-from trifree.search import _ladder, count_roots
+from trifree.search import _interior_roots, _ladder, count_roots
 
 
 def test_enumerate_single_classes():
@@ -175,6 +176,19 @@ def test_crossover_root_errors():
         crossover_root(Poly.one(), Poly.zero(), Fraction(1, 4), Fraction(3, 4))
 
 
+def test_crossover_root_endpoint_and_several_roots():
+    # a - b = 3p - 1 vanishes at the left endpoint 1/3: degenerate interval
+    a, b = Poly((0, 3)), Poly((1,))
+    assert crossover_root(a, b, Fraction(1, 3), 1) == RootInterval(Fraction(1, 3), Fraction(1, 3))
+    assert crossover_root(b, a, 0, Fraction(1, 3)) == RootInterval(Fraction(1, 3), Fraction(1, 3))
+    # (5p-1)(5p-2)(5p-3) changes sign on [0, 1] with three roots inside:
+    # the leftmost, 1/5, is the one returned
+    cubic = Poly((-1, 5)) * Poly((-2, 5)) * Poly((-3, 5))
+    r = crossover_root(cubic, Poly.zero(), 0, 1, tol=Fraction(1, 10**6))
+    assert r.lo < Fraction(1, 5) < r.hi
+    assert r.hi - r.lo <= Fraction(1, 10**6)
+
+
 def test_count_and_isolate_roots():
     cubic = Poly((1, -1, -2, 1))  # one root in (0,1)
     assert count_roots(cubic, 0, 1) == 1
@@ -190,6 +204,25 @@ def test_count_and_isolate_roots():
     # squarefree handling: (2p-1)^2 has one distinct root
     sq = Poly((1, -4, 4))
     assert count_roots(sq, 0, 1) == 1
+
+
+def test_interior_roots_inside_the_bisection_margin():
+    # p (1-p) (2^45 p - 1) (2^45 (1-p) - 1): roots at 0, 1, 2^-45 and
+    # 1 - 2^-45; the last two lie closer to the ends than the 2^-40 margin
+    tiny = Fraction(1, 1 << 45)
+    p_one_minus_p = Poly((0, 1, -1))
+    near_zero = Poly((-1, 1 << 45))
+    near_one = Poly(((1 << 45) - 1, -(1 << 45)))
+    for diff, want in (
+        (p_one_minus_p * near_zero, [tiny]),
+        (p_one_minus_p * near_one, [1 - tiny]),
+        (-(p_one_minus_p * near_zero * near_one), [tiny, 1 - tiny]),
+    ):
+        roots = _interior_roots(diff, Fraction(1, 10**12))
+        assert len(roots) == len(want)
+        for r, x in zip(roots, want):
+            assert r.lo < x < r.hi
+            assert r.hi - r.lo <= Fraction(1, 10**12)
 
 
 def test_envelope_single_segment_cases():
@@ -218,6 +251,12 @@ def test_envelope_two_segments_at_6_2():
     assert len(env.crossovers) == 1
     root = env.crossovers[0]
     assert Fraction(5549, 10000) < root.lo < root.hi < Fraction(5550, 10000)
+    # exact bytes: bisection from 2^-40 and 1 - 2^-40 down to width 10^-12
+    assert root.to_json() == {
+        "lo": "335451607342751326374921/604462909807314587353088",
+        "hi": "41931450917912635273601/75557863725914323419136",
+        "approx": 0.5549581320878043,
+    }
     # segments partition (0,1) and meet at the crossover
     assert env.segments[0].lo == 0
     assert env.segments[-1].hi == 1
