@@ -218,11 +218,20 @@ def cmd_envelope(args) -> int:
     return EXIT_OK
 
 
+def _jobs_from_env() -> int:
+    text = os.environ.get("TRIFREE_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TRIFREE_JOBS must be an integer, got {text!r}") from None
+
+
 def cmd_mc(args) -> int:
+    jobs = _jobs_from_env() if args.jobs is None else args.jobs
     g = _graph_from_args(args)
     p, _ = parse_probability(args.p)
     est = montecarlo.estimate_tf(
-        g, p, args.samples, args.seed, clique_order=args.k, jobs=args.jobs
+        g, p, args.samples, args.seed, clique_order=args.k, jobs=jobs
     )
     payload = est.to_json()
     lines = [
@@ -255,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trifree",
         description="Exact triangle-free probabilities of Bernoulli edge-subgraphs",
     )
-    default_jobs = int(os.environ.get("TRIFREE_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_phi = sub.add_parser("phi", help="exact profile, polynomial and value")
@@ -300,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--k", type=int, default=3, help="forbidden clique order")
-    p_mc.add_argument("--jobs", type=int, default=default_jobs)
+    p_mc.add_argument("--jobs", type=int,
+                      help="worker threads (default: $TRIFREE_JOBS, else 1)")
     p_mc.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p_mc.set_defaults(func=cmd_mc)
 

@@ -3,10 +3,19 @@
 Sampling uses numpy's Philox counter-based generator.  A run is split into
 fixed-size lanes of 2^14 samples; lane L draws from Philox with key
 (seed mod 2^64, L), so the estimate depends only on (graph, p, samples,
-seed) — never on how many workers processed the lanes.  Per sample only
-the edges lying in some K_k copy are drawn; the others cannot complete a
-copy.  Intervals are Wilson score at 95%, which stays sane when the
-empirical mean sits at or near 1.
+seed, clique_order) — never on how many workers processed the lanes.  Per
+sample only the edges lying in some K_k copy are drawn; the others cannot
+complete a copy.
+
+A lane takes its draws as raw 64-bit Philox words.  ``Generator.random``
+maps a word x to (x >> 11) * 2^-53, so ``random() < p`` holds exactly when
+x < keep_threshold(p) = ceil(p * 2^53) << 11: the lane keeps the same edges
+as a float draw would, without converting a word to a float.  The lane is
+bit-sliced: the keep flags of each covered edge are packed into uint64
+words, bit i for sample i, a copy is present in the samples where the AND
+of its edges' words is set, and a sample is bad when the OR over all
+copies is set.  Intervals are Wilson score at 95%, which stays sane when
+the empirical mean sits at or near 1.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -82,18 +91,31 @@ class Estimate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def keep_threshold(p) -> int:
+    """Integer bound on raw Philox words: x < bound exactly when the float
+    draw made from x, (x >> 11) * 2^-53, is below float(p)."""
+    return ceil(Fraction(float(p)) * (1 << 53)) << 11
+
+
 def _lane_successes(
-    seed: int, lane: int, count: int, p_float: float, hyper_cols: list[np.ndarray], c: int
+    seed: int, lane: int, count: int, bound: int, copies: np.ndarray, c: int
 ) -> int:
-    rng = lane_generator(seed, lane)
-    keep = rng.random((count, c)) < p_float
-    bad = np.zeros(count, dtype=bool)
-    for cols in hyper_cols:
-        present = keep[:, cols[0]]
-        for col in cols[1:]:
-            present = present & keep[:, col]
-        bad |= present
-    return int(count - int(bad.sum()))
+    # one row of keep flags per covered edge, padded with absent samples to
+    # whole uint64 words; raw words come in sample-major order, as the
+    # floats of rng.random((count, c)) would
+    kept = lane_generator(seed, lane).bit_generator.random_raw(count * c) < bound
+    keep = np.zeros((c, -(-count // 64) * 64), dtype=bool)
+    keep[:, :count] = kept.reshape(count, c).T
+    words = np.packbits(keep, axis=1, bitorder="little").view(np.uint64)
+    # gather copies in blocks no larger than the raw draw, so memory stays
+    # bounded however many copies the graph has
+    block = max(1, 64 * c // copies.shape[1])
+    bad = np.zeros(words.shape[1], dtype=np.uint64)
+    for start in range(0, len(copies), block):
+        present = np.bitwise_and.reduce(words[copies[start : start + block]], axis=1)
+        bad |= np.bitwise_or.reduce(present, axis=0)
+    # padding bits are 0 in every row, so they never count as bad
+    return count - int(np.bitwise_count(bad).sum())
 
 
 def estimate_tf(
@@ -107,39 +129,43 @@ def estimate_tf(
     """Fraction of Bernoulli(p) edge-subgraphs with no K_k copy.
 
     Fully determined by (g, p, samples, seed, clique_order); jobs only
-    controls how lanes are dispatched.
+    bounds how many threads share the lanes (never more than there are
+    lanes) and must be at least 1.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     p_exact = Fraction(p)
     if not 0 < p_exact < 1:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p_exact}")
-    p_float = float(p_exact)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    bound = keep_threshold(p_exact)
 
-    copies = clique_edge_indices(g, clique_order)
-    covered = sorted({e for idx in copies for e in idx})
+    cliques = clique_edge_indices(g, clique_order)
+    covered = sorted({e for idx in cliques for e in idx})
     if not covered:
         return Estimate(1.0, 1.0, 1.0, samples, seed, samples, p_exact)
-    # columns in sorted edge-index order fix the Philox draw layout
+    # rows in sorted edge-index order fix the Philox draw layout
     pos = {e: i for i, e in enumerate(covered)}
-    hyper_cols = [np.array([pos[e] for e in idx], dtype=np.intp) for idx in copies]
+    copies = np.array([[pos[e] for e in idx] for idx in cliques], dtype=np.intp)
     c = len(covered)
 
     lanes = [
         (lane, min(LANE_SIZE, samples - lane * LANE_SIZE))
         for lane in range((samples + LANE_SIZE - 1) // LANE_SIZE)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(lanes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_lane = list(
                 pool.map(
-                    lambda lc: _lane_successes(seed, lc[0], lc[1], p_float, hyper_cols, c),
+                    lambda lc: _lane_successes(seed, lc[0], lc[1], bound, copies, c),
                     lanes,
                 )
             )
     else:
         per_lane = [
-            _lane_successes(seed, lane, count, p_float, hyper_cols, c)
+            _lane_successes(seed, lane, count, bound, copies, c)
             for lane, count in lanes
         ]
     successes = sum(per_lane)

@@ -210,6 +210,40 @@ def test_mc_command_deterministic(capsys):
     assert payload["p"] == "3/10"
 
 
+def test_mc_bad_trifree_jobs_exit_2(capsys, monkeypatch):
+    argv = ["mc", "--construct", "mantel+1:6", "--p", "1/2", "--samples", "100"]
+    monkeypatch.setenv("TRIFREE_JOBS", "abc")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "TRIFREE_JOBS" in err
+    # an explicit --jobs wins, and other commands never read the variable
+    code, _, _ = run_cli(capsys, argv + ["--jobs", "2"])
+    assert code == 0
+    code, _, _ = run_cli(capsys, ["phi", "--graph", "Bw"])
+    assert code == 0
+    monkeypatch.setenv("TRIFREE_JOBS", "2")
+    code, from_env, _ = run_cli(capsys, argv)
+    assert code == 0
+    monkeypatch.delenv("TRIFREE_JOBS")
+    code, default, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert from_env == default
+
+
+def test_mc_jobs_below_one_exit_2(capsys, monkeypatch):
+    argv = ["mc", "--construct", "mantel+1:6", "--p", "1/2", "--samples", "100"]
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, argv + ["--jobs", jobs])
+        assert code == 2, jobs
+        assert out == ""
+        assert err.startswith("error:") and "jobs" in err, jobs
+    monkeypatch.setenv("TRIFREE_JOBS", "0")
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_verify_command_pass_and_fail(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--ls", "5", "2"])
     assert code == 0

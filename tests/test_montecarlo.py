@@ -1,6 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from trifree import (
@@ -12,7 +14,8 @@ from trifree import (
     one_extra_edge_optimum,
     sample_subgraph,
 )
-from trifree.montecarlo import wilson_interval
+from trifree.hypergraph import clique_edge_indices
+from trifree.montecarlo import LANE_SIZE, keep_threshold, wilson_interval
 
 
 def test_lane_generator_pinned_vectors():
@@ -133,3 +136,138 @@ def test_calibration_summary():
     assert inside >= 180
     pooled_se = sqrt(exact * (1 - exact) / (200 * 10**4))
     assert abs(sum(means) / len(means) - exact) <= 3 * pooled_se
+
+
+# Success counts pinned from the float-draw column loop that the bit-sliced
+# lane replaced; every Estimate byte depends on them.
+_GOLDEN_GRAPHS = {
+    "mantel+1:40": (lambda: mantel_plus_one(40), 3),
+    "K8": (lambda: complete_graph(8), 3),
+    "K8/k4": (lambda: complete_graph(8), 4),
+}
+_SEED_2_70 = 2**70 + 5
+_P_TINY = Fraction(1, 2**40)
+_P_HUGE = 1 - Fraction(1, 2**52)
+
+
+@pytest.mark.parametrize(
+    "case, p, samples, seed, successes",
+    [
+        ("mantel+1:40", Fraction(3, 10), 1, 0, 1),
+        ("mantel+1:40", Fraction(3, 10), 63, 0, 49),
+        ("mantel+1:40", Fraction(3, 10), 64, 0, 50),
+        ("mantel+1:40", Fraction(3, 10), 65, 0, 51),
+        ("mantel+1:40", Fraction(3, 10), 16383, 0, 12195),
+        ("mantel+1:40", Fraction(3, 10), 16385, 0, 12197),
+        ("mantel+1:40", Fraction(3, 10), 100001, 0, 74486),
+        ("mantel+1:40", Fraction(3, 10), 16385, _SEED_2_70, 12200),
+        ("mantel+1:40", Fraction(3, 10), 1 << 21, 1, 1564006),
+        ("mantel+1:40", Fraction(999, 1000), 16385, 3, 13),
+        ("mantel+1:40", Fraction(999, 1000), 100001, 3, 104),
+        ("mantel+1:40", _P_TINY, 100001, 3, 100001),
+        ("mantel+1:40", _P_HUGE, 100001, 3, 0),
+        ("K8", Fraction(1, 2), 65, 0, 0),
+        ("K8", Fraction(1, 2), 16383, 0, 307),
+        ("K8", Fraction(1, 2), 16385, 0, 307),
+        ("K8", Fraction(1, 2), 100001, 0, 1729),
+        ("K8", Fraction(1, 2), 65, _SEED_2_70, 1),
+        ("K8", Fraction(1, 2), 100001, _SEED_2_70, 1712),
+        ("K8", Fraction(1, 2), 1 << 21, 1, 36304),
+        ("K8", _P_TINY, 16385, 3, 16385),
+        ("K8", _P_HUGE, 16385, 3, 0),
+        ("K8/k4", Fraction(1, 2), 1, 0, 0),
+        ("K8/k4", Fraction(1, 2), 63, 0, 32),
+        ("K8/k4", Fraction(1, 2), 64, 0, 32),
+        ("K8/k4", Fraction(1, 2), 65, 0, 33),
+        ("K8/k4", Fraction(1, 2), 16383, 0, 8857),
+        ("K8/k4", Fraction(1, 2), 16385, 0, 8858),
+        ("K8/k4", Fraction(1, 2), 100001, 0, 54766),
+        ("K8/k4", Fraction(1, 2), 1, _SEED_2_70, 1),
+        ("K8/k4", Fraction(1, 2), 100001, _SEED_2_70, 54927),
+        ("K8/k4", Fraction(1, 2), 1 << 21, 1, 1149355),
+        ("K8/k4", _P_TINY, 100001, 3, 100001),
+        ("K8/k4", _P_HUGE, 100001, 3, 0),
+    ],
+)
+def test_estimate_golden_successes(case, p, samples, seed, successes):
+    make, k = _GOLDEN_GRAPHS[case]
+    est = estimate_tf(make(), p, samples, seed=seed, clique_order=k)
+    assert est.successes == successes
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Fraction(1, 2), Fraction(3, 10), Fraction(1, 3), Fraction(999, 1000),
+        _P_TINY, _P_HUGE,
+        1 - Fraction(1, 2**60),  # float(p) rounds to 1.0: bound 2^64 keeps all
+        Fraction(1, 2**1100),  # float(p) rounds to 0.0: bound 0 keeps none
+    ],
+)
+def test_keep_threshold_matches_float_draw(p):
+    # guards numpy's documented raw-word-to-double mapping for Philox
+    bound = keep_threshold(p)
+    for seed, lane in ((0, 0), (42, 3), (2**70 + 5, 9)):
+        raw = lane_generator(seed, lane).bit_generator.random_raw(20_000)
+        floats = lane_generator(seed, lane).random(20_000)
+        assert np.array_equal(raw < bound, floats < float(p))
+
+
+def test_keep_threshold_exact_values():
+    assert keep_threshold(Fraction(1, 2)) == 1 << 63
+    assert keep_threshold(Fraction(1, 3)) == (2**53 // 3 + 1) << 11
+    assert keep_threshold(_P_HUGE) == (2**53 - 2) << 11
+    assert keep_threshold(1 - Fraction(1, 2**60)) == 1 << 64
+    assert keep_threshold(Fraction(1, 2**1100)) == 0
+
+
+def _column_loop_successes(g, p, samples, seed, k):
+    """Reference: float draws per lane, then a copy-by-copy column test."""
+    copies = clique_edge_indices(g, k)
+    covered = sorted({e for idx in copies for e in idx})
+    pos = {e: i for i, e in enumerate(covered)}
+    successes = 0
+    for lane in range(-(-samples // LANE_SIZE)):
+        count = min(LANE_SIZE, samples - lane * LANE_SIZE)
+        keep = lane_generator(seed, lane).random((count, len(covered))) < float(p)
+        bad = np.zeros(count, dtype=bool)
+        for idx in copies:
+            bad |= keep[:, [pos[e] for e in idx]].all(axis=1)
+        successes += count - int(bad.sum())
+    return successes
+
+
+@pytest.mark.parametrize("k, p", [(3, Fraction(1, 5)), (4, Fraction(1, 3)), (5, Fraction(1, 2))])
+def test_estimate_matches_column_loop_reference(k, p):
+    # K11 at k=5 has 462 copies of 10 edges over 55 covered edges, so the
+    # lane gathers its copies in two blocks
+    g = complete_graph(11)
+    for samples, seed in ((LANE_SIZE + 77, 5), (130, 2**64 + 1)):
+        est = estimate_tf(g, p, samples, seed=seed, clique_order=k)
+        assert est.successes == _column_loop_successes(g, p, samples, seed, k)
+
+
+def test_estimate_rejects_jobs_below_one():
+    g = complete_graph(4)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            estimate_tf(g, Fraction(1, 2), 100, seed=1, jobs=jobs)
+
+
+def test_estimate_pool_never_exceeds_lanes(monkeypatch):
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("trifree.montecarlo.ThreadPoolExecutor", CountingPool)
+    g = complete_graph(4)
+    base = estimate_tf(g, Fraction(1, 2), 100, seed=4)
+    assert estimate_tf(g, Fraction(1, 2), 100, seed=4, jobs=64) == base
+    assert started == []  # one lane: run inline, no pool at all
+    samples = 2 * LANE_SIZE + 1
+    base = estimate_tf(g, Fraction(1, 2), samples, seed=4)
+    assert estimate_tf(g, Fraction(1, 2), samples, seed=4, jobs=64) == base
+    assert started == [3]
