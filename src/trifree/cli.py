@@ -80,7 +80,8 @@ def _graph_from_args(args) -> graphs.Graph:
         return resolve_graph(args.construct)
     if args.stdin:
         return graphs.parse_graph6(sys.stdin.read())
-    text = open(args.graph_file).read()
+    with open(args.graph_file) as fh:
+        text = fh.read()
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     parts = first.split()
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
@@ -144,13 +145,20 @@ def cmd_phi(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.capped and (args.one_extra is None or args.prune):
+        raise ValueError("--capped needs --one-extra N and excludes --prune")
     checks = []
     ran_any = False
     if args.all or args.one_extra is not None:
         ns = [args.one_extra] if args.one_extra is not None else [3, 4, 5, 6]
         for n in ns:
-            print(f"verifying optimum at one extra edge, n={n} ...", file=sys.stderr)
-            checks.extend(verify.check_one_extra(n, prune=args.prune))
+            if args.capped:
+                print(f"proving optimum at one extra edge by triangle cap, n={n} ...",
+                      file=sys.stderr)
+                checks.extend(verify.check_one_extra_capped(n))
+            else:
+                print(f"verifying optimum at one extra edge, n={n} ...", file=sys.stderr)
+                checks.extend(verify.check_one_extra(n, prune=args.prune))
         ran_any = True
     if args.all or args.ls is not None:
         pairs = [tuple(args.ls)] if args.ls is not None else [
@@ -285,6 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--prune", action="store_true",
                           help="use the certified bound to skip classes")
+    p_verify.add_argument("--capped", action="store_true",
+                          help="with --one-extra N: prove the optimum for every p "
+                          "from the classes with at most floor(N/2) triangles")
     p_verify.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -308,7 +308,8 @@ def canonical_form(g: Graph) -> bytes:
 
     The value is the graph6 encoding of the relabeling that minimizes the
     colex adjacency bit-string, so it can be fed back to
-    :func:`parse_graph6`.  Exact search; limited to n <= 10.
+    :func:`parse_graph6`.  Exact search; limited to n <= 10.  Reads only
+    g.n and the adjacency rows g.adj.
     """
     if g.n > MAX_CANONICAL_N:
         raise LimitExceededError(

@@ -64,7 +64,8 @@ def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
         * sqrt(phat * (1.0 - phat) / samples + z2 / (4.0 * samples * samples))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    # rounding can push an end past phat when phat is 0 or 1
+    return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 
 
 @dataclass(frozen=True)

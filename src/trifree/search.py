@@ -1,14 +1,8 @@
 """Exhaustive search over isomorphism classes at fixed vertex and edge counts.
 
-Representatives are generated levelwise: the classes with m edges are the
-canonical dedup of every (m-1)-edge representative plus one new edge, one
-edge per unordered pair of the representative's twin classes (the others
-are images under twin swaps).  Every m-edge graph contains an (m-1)-edge
-subgraph, so the ladder is complete; order is deterministic (sorted
-canonical forms).  A representative is the canonical relabeling itself,
-so write_graph6 names it.  On top of the
-enumeration sit the probability maximizer, the p-dependent upper envelope
-with exact crossover isolation, and the extremal-graph verifier.
+On top of the class enumeration (trifree.enumeration) sit the probability
+maximizer, the p-dependent upper envelope with exact crossover isolation,
+the extremal-graph verifiers and the per-class CSV export.
 """
 
 from __future__ import annotations
@@ -18,64 +12,19 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from .bounds import linear_triple_bound, one_extra_edge_optimum
+from .enumeration import MAX_ENUM_N, class_names, enumerate_graphs
 from .errors import LimitExceededError
 from .exact import tf_poly
 from .graphs import (
-    Graph,
     canonical_form,
     mantel_plus_one,
-    parse_graph6,
     triangle_count,
-    twin_classes,
     write_graph6,
 )
 from .polynomial import Poly
-
-MAX_ENUM_N = 8  # full enumeration limit; n = 8 is pruned-only and experimental
-
-_ladder_cache: dict[int, list[list[str]]] = {}
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
-
-def _ladder(n: int, max_m: int) -> list[list[str]]:
-    """levels[m] = sorted canonical graph6 strings of all n-vertex,
-    m-edge isomorphism classes, for m = 0..max_m."""
-    levels = _ladder_cache.setdefault(n, [[canonical_form(Graph(n, [])).decode("ascii")]])
-    while len(levels) <= max_m:
-        seen = set()
-        for g6 in levels[-1]:
-            g = parse_graph6(g6)
-            twins = twin_classes(g)
-            tried = set()
-            for u, v in g.non_edges():
-                # twin swaps map each non-edge onto every other one joining
-                # the same two twin classes, so one of them suffices
-                pair = twins[u] | twins[v]
-                if pair not in tried:
-                    tried.add(pair)
-                    seen.add(canonical_form(g.with_edge(u, v)).decode("ascii"))
-        levels.append(sorted(seen))
-    return levels
-
-
-def enumerate_graphs(n: int, m: int) -> list[Graph]:
-    """One canonical representative per isomorphism class with n vertices
-    and m edges, in deterministic (sorted canonical form) order."""
-    if n > MAX_ENUM_N:
-        raise LimitExceededError(f"enumeration supports n <= {MAX_ENUM_N}, got n={n}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if m > comb(n, 2):
-        raise ValueError(f"m={m} exceeds C({n},2)")
-    return [parse_graph6(g6) for g6 in _ladder(n, m)[m]]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +423,56 @@ def verify_one_extra_optimum(n: int, prune: bool = False) -> OptimumVerification
         tuple(violations),
         len(reps),
         pruned,
+    )
+
+
+@dataclass(frozen=True)
+class CappedVerification:
+    n: int
+    passed: bool
+    triangle_cap: int
+    construction: str
+    capped_classes: tuple[str, ...]
+    construction_is_optimum: bool
+    bound_below_optimum: bool
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "pass": self.passed,
+            "triangle_cap": self.triangle_cap,
+            "construction": self.construction,
+            "capped_classes": list(self.capped_classes),
+            "construction_is_optimum": self.construction_is_optimum,
+            "bound_below_optimum": self.bound_below_optimum,
+        }
+
+
+def verify_one_extra_capped(n: int) -> CappedVerification:
+    """Prove the optimum one edge above the threshold for every p in (0, 1).
+
+    Let T = floor(n/2), so the optimum is 1 - p + p(1-p^2)^T.  A class with
+    t > T triangles has probability at most 1 - p + p(1-p^2)^t, and that
+    is at most the bound at T + 1, which lies strictly below the optimum on
+    (0, 1) (checked here by Sturm chains).  So the construction is the
+    unique maximizer for every p once it is the only class with at most T
+    triangles and its polynomial is the optimum.  The triangle-capped
+    recursion lists those classes without enumerating the rest.  Limited
+    to n <= MAX_CANONICAL_N by the canonical form.
+    """
+    if n < 3:
+        raise ValueError("need at least 3 vertices")
+    cap = n // 2
+    target = one_extra_edge_optimum(n)
+    built = mantel_plus_one(n)
+    construction = canonical_form(built).decode("ascii")
+    capped = tuple(class_names(n, n * n // 4 + 1, cap))
+    is_optimum = tf_poly(built) == target
+    gap = target - linear_triple_bound(cap + 1)
+    below = not _interior_roots(gap, Fraction(1, 2)) and gap.eval(Fraction(1, 2)) > 0
+    passed = capped == (construction,) and is_optimum and below
+    return CappedVerification(
+        n, passed, cap, construction, capped, is_optimum, below
     )
 
 

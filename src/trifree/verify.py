@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bounds import CheckReport, linear_triple_bound, ls_min_triangles
+from .enumeration import enumerate_graphs
 from .exact import tf_poly
 from .graphs import triangle_count, two_extra_edge_candidates
 from .hypergraph import (
@@ -18,7 +19,7 @@ from .hypergraph import (
     random_linear_hypergraph,
 )
 from .polynomial import Poly
-from .search import crossover_root, enumerate_graphs, verify_one_extra_optimum
+from .search import crossover_root, verify_one_extra_capped, verify_one_extra_optimum
 
 _P_GRID = tuple(Fraction(k, 10) for k in (1, 2, 5, 7, 9))
 
@@ -34,6 +35,25 @@ def check_one_extra(n: int, prune: bool = False) -> list[CheckReport]:
             relation="==",
             witness=f"enumerated={report.enumerated}, pruned={report.pruned}, "
             f"violations={list(report.violations)}",
+            passed=report.passed,
+        )
+    ]
+
+
+def check_one_extra_capped(n: int) -> list[CheckReport]:
+    """Optimality of the construction for every p, by the triangle cap."""
+    report = verify_one_extra_capped(n)
+    cap = report.triangle_cap
+    return [
+        CheckReport(
+            claim=f"n={n}: bipartite-plus-edge construction is the unique maximizer "
+            "for every p in (0, 1)",
+            lhs=f"classes with <= {cap} triangles {list(report.capped_classes)}",
+            rhs=f"[{report.construction!r}] with probability 1 - p + p(1-p^2)^{cap}",
+            relation="==",
+            witness=f"construction polynomial is the optimum: "
+            f"{report.construction_is_optimum}; 1 - p + p(1-p^2)^{cap + 1} "
+            f"< optimum on (0, 1): {report.bound_below_optimum}",
             passed=report.passed,
         )
     ]

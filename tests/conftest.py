@@ -7,6 +7,8 @@ profile comparisons are a genuine cross-check.  brute_tf_profile walks all
 2^m edge subsets; subset_tf_profile enumerates only the covered edges'
 subsets with numpy, for graphs too big for the former.
 brute_canonical_name tries all n! relabelings, with no pruning.
+edge_ladder builds the classes level by level, one edge at a time, as a
+second enumeration route beside the library's vertex recursion.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ import pytest
 from trifree import (
     Graph,
     build_graph,
+    canonical_form,
     complete_bipartite,
     complete_graph,
     mantel_plus_one,
+    parse_graph6,
     two_extra_edge_candidates,
     write_graph6,
 )
+from trifree.graphs import twin_classes
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,34 @@ def brute_canonical_name(g: Graph) -> str:
     )
     pairs = [(j, i) for i in range(1, n) for j in range(i)]
     return write_graph6(build_graph(n, [e for e, bit in zip(pairs, best) if bit]))
+
+
+_LADDERS: dict[int, list[list[str]]] = {}
+
+
+def edge_ladder(n: int, max_m: int) -> list[list[str]]:
+    """levels[m] = sorted canonical graph6 names of all n-vertex, m-edge
+    classes, for m = 0..max_m, by adding one edge at a time.
+
+    Every m-edge graph contains an (m-1)-edge subgraph, so the ladder is
+    complete.  One edge is tried per unordered pair of twin classes of the
+    representative: twin swaps map each non-edge onto every other one
+    joining the same two classes.
+    """
+    levels = _LADDERS.setdefault(n, [[canonical_form(Graph(n, [])).decode("ascii")]])
+    while len(levels) <= max_m:
+        seen = set()
+        for g6 in levels[-1]:
+            g = parse_graph6(g6)
+            twins = twin_classes(g)
+            tried = set()
+            for u, v in g.non_edges():
+                pair = twins[u] | twins[v]
+                if pair not in tried:
+                    tried.add(pair)
+                    seen.add(canonical_form(g.with_edge(u, v)).decode("ascii"))
+        levels.append(sorted(seen))
+    return levels
 
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,18 @@ def test_phi_graph_file_graph6(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["phi", "--graph-file", str(path)])
     assert code == 0
     assert json.loads(out)["m"] == 3
+
+
+@pytest.mark.parametrize("name, text", [("g.txt", "0 1\n0 2\n1 2\n"), ("g.g6", "Bw\n")])
+def test_phi_graph_file_is_closed(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, ["phi", "--graph-file", str(path)])
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -269,6 +283,34 @@ def test_verify_one_extra_cli(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--one-extra", "6"])
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_one_extra_capped_cli(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--one-extra", "9", "--capped"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    (check,) = payload["checks"]
+    assert check["claim"] == (
+        "n=9: bipartite-plus-edge construction is the unique maximizer "
+        "for every p in (0, 1)"
+    )
+    assert check["lhs"] == "classes with <= 4 triangles ['H?F~vrw']"
+    code, out, _ = run_cli(capsys, ["verify", "--one-extra", "10", "--capped",
+                                    "--format", "text"])
+    assert code == 0
+    assert out.splitlines()[0].startswith("[PASS] n=10: ")
+
+
+def test_verify_one_extra_capped_cli_limits(capsys):
+    code, _, err = run_cli(capsys, ["verify", "--one-extra", "11", "--capped"])
+    assert code == 3
+    assert err.splitlines()[-1].startswith("limit exceeded:")
+    for argv in (["--capped"], ["--all", "--capped"],
+                 ["--one-extra", "8", "--capped", "--prune"]):
+        code, _, err = run_cli(capsys, ["verify", *argv])
+        assert code == 2, argv
+        assert "--capped" in err
 
 
 def test_search_csv_format(capsys):

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from conftest import are_isomorphic, brute_canonical_name, brute_triangles, random_graph
+from conftest import (
+    are_isomorphic,
+    brute_canonical_name,
+    brute_triangles,
+    edge_ladder,
+    random_graph,
+)
 from trifree import (
     LimitExceededError,
     build_graph,
@@ -20,7 +26,6 @@ from trifree import (
     write_graph6,
 )
 from trifree.graphs import cliques, twin_classes
-from trifree.search import _ladder
 
 
 def test_build_graph_basics():
@@ -146,7 +151,7 @@ def test_canonical_form_invariance():
 def test_canonical_form_matches_brute_force_minimum():
     rng = random.Random(6)
     for n in range(1, 7):
-        for level in _ladder(n, n * (n - 1) // 2):
+        for level in edge_ladder(n, n * (n - 1) // 2):
             for g6 in level:
                 g = parse_graph6(g6)
                 assert brute_canonical_name(g) == g6

@@ -65,6 +65,20 @@ def test_wilson_interval_shape():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_contains_its_estimate_at_the_ends():
+    for n in range(1, 5000):
+        low, high = wilson_interval(0, n)
+        assert low == 0.0 < high, n
+        low, high = wilson_interval(n, n)
+        assert low < 1.0 == high, n
+    # interior counts are untouched by the clamp: the unclamped values
+    assert [wilson_interval(s, n) for s, n in ((3, 10), (1, 4999), (2097151, 2097152))] == [
+        (0.10779126740630099, 0.6032218525388546),
+        (3.531284618313595e-05, 0.0011323153644600043),
+        (0.9999972987539504, 0.9999999158265279),
+    ]
+
+
 def test_estimate_triangle_free_host_is_exact():
     est = estimate_tf(complete_bipartite(3, 3), Fraction(1, 2), 500, seed=3)
     assert est.mean == 1.0

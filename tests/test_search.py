@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trifree
-from conftest import automorphism_count
+from conftest import automorphism_count, edge_ladder
 from trifree import (
     LimitExceededError,
     Poly,
@@ -23,11 +24,16 @@ from trifree import (
     isolate_roots,
     mantel_plus_one,
     maximize_tf,
+    parse_graph6,
     tf_poly,
+    triangle_count,
     two_extra_edge_candidates,
+    verify_one_extra_capped,
     verify_one_extra_optimum,
+    write_graph6,
 )
-from trifree.search import _interior_roots, _ladder, count_roots
+from trifree.enumeration import class_names
+from trifree.search import _interior_roots, count_roots
 
 
 def test_enumerate_single_classes():
@@ -66,7 +72,36 @@ def test_ladder_level_sizes_match_graph_atlas():
     for h in nx.graph_atlas_g():
         if h.number_of_nodes() == 7:
             sizes[h.number_of_edges()] += 1
-    assert [len(level) for level in _ladder(7, 21)] == sizes
+    assert [len(enumerate_graphs(7, m)) for m in range(22)] == sizes
+
+
+def test_enumerate_matches_edge_ladder():
+    for n in range(1, 8):
+        top = n * (n - 1) // 2
+        levels = edge_ladder(n, top)
+        for m in range(top + 1):
+            assert [write_graph6(g) for g in enumerate_graphs(n, m)] == levels[m], (n, m)
+
+
+def test_capped_recursion_matches_filtered_ladder():
+    for n in range(1, 8):
+        top = n * (n - 1) // 2
+        levels = edge_ladder(n, top)
+        for m in range(top + 1):
+            counts = {g6: triangle_count(parse_graph6(g6)) for g6 in levels[m]}
+            for cap in (0, 1, 2, 3, 4, 6, 10):
+                want = [g6 for g6 in levels[m] if counts[g6] <= cap]
+                assert class_names(n, m, cap) == want, (n, m, cap)
+    assert class_names(1, 1) == class_names(3, 4) == []
+
+
+@pytest.mark.slow
+def test_enumerate_n8_full_row():
+    # OEIS A008406, row 8: the 12,346 unlabeled graphs on 8 vertices
+    assert [len(enumerate_graphs(8, m)) for m in range(29)] == [
+        1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
+        1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1,
+    ]
 
 
 def test_enumerate_representatives_pairwise_nonisomorphic():
@@ -320,9 +355,8 @@ def test_verify_one_extra_optimum_pruned_agrees():
         assert fast.pruned >= 0
 
 
-@pytest.mark.slow
 def test_maximize_n8_pruned_experimental():
-    # ~2 minutes: the pruned-only n=8 path; the certified bound eliminates
+    # under a second: the pruned-only n=8 path; the certified bound eliminates
     # every class except the construction, whose value matches the formula
     from trifree import one_extra_edge_optimum
 
@@ -335,6 +369,26 @@ def test_maximize_n8_pruned_experimental():
     check = verify_one_extra_optimum(8, prune=True)
     assert check.passed
     assert check.pruned == check.enumerated - 1
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_verify_one_extra_capped(n):
+    started = time.perf_counter()
+    report = verify_one_extra_capped(n)
+    elapsed = time.perf_counter() - started
+    construction = canonical_form(mantel_plus_one(n)).decode("ascii")
+    assert report.capped_classes == (construction,)
+    assert report.triangle_cap == n // 2
+    assert report.construction_is_optimum and report.bound_below_optimum
+    assert report.passed
+    assert elapsed < 1.0
+
+
+def test_verify_one_extra_capped_limits():
+    with pytest.raises(LimitExceededError):
+        verify_one_extra_capped(11)
+    with pytest.raises(ValueError):
+        verify_one_extra_capped(2)
 
 
 def test_export_classes_csv(tmp_path):
