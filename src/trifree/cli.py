@@ -245,11 +245,13 @@ def cmd_mc(args) -> int:
     lines = [
         f"mean: {est.mean:.9f}",
         f"95% interval: [{est.ci_low:.9f}, {est.ci_high:.9f}]",
-        f"samples: {est.samples}, seed: {est.seed}, p: {est.p}",
+        f"samples: {est.samples}, seed: {est.seed}, p: {est.p}, "
+        f"clique order: {est.clique_order}",
     ]
     csv_rows = [
-        ["mean", "ci_low", "ci_high", "samples", "seed", "p"],
-        [est.mean, est.ci_low, est.ci_high, est.samples, est.seed, str(est.p)],
+        ["mean", "ci_low", "ci_high", "samples", "seed", "p", "clique_order"],
+        [est.mean, est.ci_low, est.ci_high, est.samples, est.seed, str(est.p),
+         est.clique_order],
     ]
     _emit(args, payload, lines, csv_rows)
     return EXIT_OK

@@ -157,6 +157,6 @@ def enumerate_graphs(n: int, m: int) -> list[Graph]:
         raise LimitExceededError(f"enumeration supports n <= {MAX_ENUM_N}, got n={n}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    if m > comb(n, 2):
-        raise ValueError(f"m={m} exceeds C({n},2)")
+    if not 0 <= m <= comb(n, 2):
+        raise ValueError(f"edge count m={m} outside 0..C({n},2)")
     return [parse_graph6(g6) for g6 in class_names(n, m)]

@@ -73,15 +73,15 @@ class IndependenceProfile:
     def probability(self, p) -> Fraction:
         """Exact probability that a Bernoulli(p) vertex subset is independent."""
         p = Fraction(p)
-        if not 0 <= p <= 1:
+        a, b = p.numerator, p.denominator
+        if not 0 <= a <= b:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        q = 1 - p
-        total = Fraction(0)
-        v = self.vertex_count
-        for s, c in enumerate(self.counts):
-            if c:
-                total += c * p**s * q ** (v - s)
-        return total
+        # sum_s counts[s] a^s (b-a)^(v-s) over b^v, by integer Horner in a
+        v, acc, qpow = self.vertex_count, 0, 1
+        for c in reversed(self.counts):
+            acc = acc * a + c * qpow
+            qpow *= b - a
+        return Fraction(acc * (b - a) ** (v + 1 - len(self.counts)), b**v)
 
 
 def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:

@@ -77,6 +77,7 @@ class Estimate:
     seed: int
     successes: int
     p: Fraction
+    clique_order: int
 
     def to_json(self) -> dict:
         return {
@@ -86,6 +87,7 @@ class Estimate:
             "samples": self.samples,
             "seed": self.seed,
             "p": str(self.p),
+            "clique_order": self.clique_order,
         }
 
     def to_json_text(self) -> str:
@@ -145,7 +147,7 @@ def estimate_tf(
     cliques = clique_edge_indices(g, clique_order)
     covered = sorted({e for idx in cliques for e in idx})
     if not covered:
-        return Estimate(1.0, 1.0, 1.0, samples, seed, samples, p_exact)
+        return Estimate(1.0, 1.0, 1.0, samples, seed, samples, p_exact, clique_order)
     # rows in sorted edge-index order fix the Philox draw layout
     pos = {e: i for i, e in enumerate(covered)}
     copies = np.array([[pos[e] for e in idx] for idx in cliques], dtype=np.intp)
@@ -171,4 +173,6 @@ def estimate_tf(
         ]
     successes = sum(per_lane)
     low, high = wilson_interval(successes, samples)
-    return Estimate(successes / samples, low, high, samples, seed, successes, p_exact)
+    return Estimate(
+        successes / samples, low, high, samples, seed, successes, p_exact, clique_order
+    )

@@ -1,10 +1,11 @@
 """Dense univariate polynomials with arbitrary-precision integer coefficients.
 
-Coefficients are plain Python ints (exact at any size); evaluation returns
-``fractions.Fraction``.  This is all the symbolic machinery the package
-needs: probability polynomials in p, their differences, exact division for
-factorization checks, and the integer primitive remainders that Sturm
-chains are built from.
+Coefficients are plain Python ints (exact at any size) and the arithmetic
+stays in integers: evaluation at a/b is an integer Horner sum made into one
+``fractions.Fraction``, and exact division is integer long division.  This
+is all the symbolic machinery the package needs: probability polynomials in
+p, their differences, exact division for factorization checks, and the
+integer primitive remainders that Sturm chains are built from.
 """
 
 from __future__ import annotations
@@ -119,60 +120,42 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def eval(self, p) -> Fraction:
-        """Exact value at a rational point (Horner)."""
+        """Exact value at a rational point a/b: the integer Horner sum
+        sum_k c_k a^k b^(d-k), over b^d."""
         p = Fraction(p)
-        acc = Fraction(0)
+        a, b = p.numerator, p.denominator
+        acc, den = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+            acc = acc * a + c * den
+            den *= b
+        # den is b^(d+1) here (1 for the zero polynomial)
+        return Fraction(acc * b, den)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
 
-    def divmod_exact(self, divisor: "Poly"):
-        """Quotient and remainder over the rationals.
-
-        Returns (quotient, remainder) as Fraction-coefficient lists; use
-        :meth:`divides` for the common "does it factor" question.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in divisor.coeffs]
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return [], rem
-        quot = [Fraction(0)] * (dq + 1)
-        lead = div[-1]
-        for k in range(dq, -1, -1):
-            q = rem[len(div) - 1 + k] / lead
-            quot[k] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[j + k] -= q * d
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return quot, rem
-
     def divides(self, dividend: "Poly") -> bool:
-        """True iff self divides dividend exactly (zero remainder)."""
-        if dividend.is_zero():
-            return True
-        _, rem = dividend.divmod_exact(self)
-        return not rem
+        """True iff self divides dividend over the rationals."""
+        return dividend.is_zero() or dividend.primitive_rem(self).is_zero()
 
     def quotient(self, divisor: "Poly") -> "Poly":
-        """Exact quotient; raises ValueError if the division leaves a remainder
-        or a non-integer coefficient."""
-        quot, rem = self.divmod_exact(divisor)
-        if rem:
-            raise ValueError("division leaves a remainder")
-        out = []
-        for q in quot:
-            if q.denominator != 1:
+        """Exact quotient by integer long division; raises ValueError when a
+        leading coefficient does not divide or a remainder is left."""
+        b = divisor.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quot = [0] * max(0, len(rem) - len(b) + 1)
+        for k in reversed(range(len(quot))):
+            q, r = divmod(rem[k + len(b) - 1], b[-1])
+            if r:
                 raise ValueError("quotient has non-integer coefficients")
-            out.append(q.numerator)
-        return Poly(out)
+            quot[k] = q
+            for j, c in enumerate(b):
+                rem[j + k] -= q * c
+        if any(rem):
+            raise ValueError("division leaves a remainder")
+        return Poly(quot)
 
     def primitive(self) -> "Poly":
         """self divided by the positive gcd of its coefficients."""

@@ -9,11 +9,15 @@ subsets with numpy, for graphs too big for the former.
 brute_canonical_name tries all n! relabelings, with no pruning.
 edge_ladder builds the classes level by level, one edge at a time, as a
 second enumeration route beside the library's vertex recursion.
+fraction_eval, fraction_bernstein and fraction_divmod do polynomial
+arithmetic over Fraction, one rational operation at a time, beside the
+library's integer Horner sums and integer long division.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -180,6 +184,38 @@ def edge_ladder(n: int, max_m: int) -> list[list[str]]:
                     seen.add(canonical_form(g.with_edge(u, v)).decode("ascii"))
         levels.append(sorted(seen))
     return levels
+
+
+def fraction_eval(coeffs, p) -> Fraction:
+    """sum_j coeffs[j] p^j by Horner over Fraction."""
+    p = Fraction(p)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def fraction_bernstein(counts, v: int, p) -> Fraction:
+    """sum_s counts[s] p^s (1-p)^(v-s) over Fraction."""
+    p = Fraction(p)
+    return sum((c * p**s * (1 - p) ** (v - s) for s, c in enumerate(counts)), Fraction(0))
+
+
+def fraction_divmod(dividend, divisor) -> tuple[list[Fraction], list[Fraction]]:
+    """(quotient, remainder) coefficient lists of long division over the
+    rationals by a divisor with a nonzero last coefficient; the remainder
+    has no trailing zeros."""
+    div = [Fraction(c) for c in divisor]
+    rem = [Fraction(c) for c in dividend]
+    quot = [Fraction(0)] * max(0, len(rem) - len(div) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[len(div) - 1 + k] / div[-1]
+        quot[k] = q
+        for j, d in enumerate(div):
+            rem[j + k] -= q * d
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
 
 
 def random_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -2,6 +2,7 @@ import gc
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -220,8 +221,27 @@ def test_mc_command_deterministic(capsys):
     assert code == 0
     assert out1 == out2
     payload = json.loads(out1)
-    assert set(payload) == {"mean", "ci_low", "ci_high", "samples", "seed", "p"}
+    assert set(payload) == {
+        "mean", "ci_low", "ci_high", "samples", "seed", "p", "clique_order"
+    }
     assert payload["p"] == "3/10"
+    assert payload["clique_order"] == 3
+
+
+def test_mc_records_the_clique_order(capsys):
+    base = ["mc", "--construct", "complete:5", "--p", "1/2", "--samples", "2000"]
+    for k in ("3", "4"):
+        code, out, _ = run_cli(capsys, base + ["--k", k])
+        assert code == 0
+        assert json.loads(out)["clique_order"] == int(k)
+        code, out, _ = run_cli(capsys, base + ["--k", k, "--format", "text"])
+        assert code == 0
+        assert f"clique order: {k}" in out
+        code, out, _ = run_cli(capsys, base + ["--k", k, "--format", "csv"])
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header.split(",")[-1] == "clique_order"
+        assert row.split(",")[-1] == k
 
 
 def test_mc_bad_trifree_jobs_exit_2(capsys, monkeypatch):
@@ -324,12 +344,38 @@ def test_search_csv_format(capsys):
     assert len(lines) == 2
 
 
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--all"])
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
     assert len(payload["checks"]) >= 10
+    # byte for byte the stdout the benchmark references record
+    assert out == json.loads(REFERENCES.read_text())["verify_cli"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "3", "--i", "-5", "--p", "1/2"],
+        ["verify", "--ls", "2", "-2"],
+        ["envelope", "--n", "3", "--i", "-5"],
+        ["classes", "--n", "3", "--m", "-1", "--out", "c.csv"],
+    ],
+)
+def test_negative_edge_count_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    # verify prints a progress line first; the error line comes last
+    last = err.splitlines()[-1]
+    assert last.startswith("error:") and "edge count" in last
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_classes_command(capsys, tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_divmod, fraction_eval
 from trifree import Poly
 
 
@@ -38,6 +39,7 @@ def test_eval_horner():
     assert p.eval(0) == 1
     assert p.eval(Fraction(1, 2)) == Fraction(91, 128)
     assert p.eval(1) == 0
+    assert Poly.zero().eval(Fraction(-5, 3)) == 0
 
 
 def test_exact_division():
@@ -46,16 +48,22 @@ def test_exact_division():
     assert Poly.one_minus_x_power(3).divides(prod)
     assert prod.quotient(Poly.one_minus_x_power(3)) == Poly((1, 1, 1))
     assert not Poly((1, 1)).divides(Poly((1, 0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="remainder"):
         Poly((1, 0, 1)).quotient(Poly((1, 1)))
+    # divides means "over the rationals"; quotient needs integer coefficients
+    assert Poly((2,)).divides(Poly((1, 1)))
+    with pytest.raises(ValueError, match="non-integer"):
+        Poly((1, 1)).quotient(Poly((2,)))
+    assert Poly.zero().quotient(Poly((1, 1))) == Poly.zero()
+    assert Poly.zero().divides(Poly.zero())
     with pytest.raises(ZeroDivisionError):
-        Poly((1,)).divmod_exact(Poly.zero())
+        Poly((1,)).quotient(Poly.zero())
+    with pytest.raises(ZeroDivisionError):
+        Poly.zero().divides(Poly((1,)))
 
 
 def test_divmod_random_reconstruction():
     import random
-
-    from fractions import Fraction as F
 
     rng = random.Random(99)
     for _ in range(50):
@@ -63,13 +71,20 @@ def test_divmod_random_reconstruction():
         b = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
         if b.is_zero():
             continue
-        quot, rem = a.divmod_exact(b)
-        # a == q*b + r over the rationals, deg r < deg b
-        x = F(7, 11)
-        qx = sum(c * x**j for j, c in enumerate(quot))
-        rx = sum(c * x**j for j, c in enumerate(rem))
-        assert a.eval(x) == qx * b.eval(x) + rx
+        assert (a * b).quotient(b) == a
+        assert b.divides(a * b)
+        quot, rem = fraction_divmod(a.coeffs, b.coeffs)
+        # the oracle's a == q*b + r over the rationals, deg r < deg b
+        x = Fraction(7, 11)
+        assert a.eval(x) == fraction_eval(quot, x) * b.eval(x) + fraction_eval(rem, x)
         assert len(rem) < len(b.coeffs)
+        exact = not rem and all(q.denominator == 1 for q in quot)
+        assert b.divides(a) == (not rem)
+        if exact:
+            assert a.quotient(b) == Poly([q.numerator for q in quot])
+        else:
+            with pytest.raises(ValueError):
+                a.quotient(b)
 
 
 def test_derivative():
