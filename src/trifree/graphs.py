@@ -10,6 +10,7 @@ subset bitmasks, profiles) relies on this one convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import LimitExceededError
 
@@ -164,25 +165,10 @@ def two_extra_edge_candidates() -> tuple[Graph, Graph, Graph]:
 
 def triangles(g: Graph) -> list[Triangle]:
     """All triangles, ordered by vertex triple."""
-    out = []
-    for u, v in g.edges:
-        common = g.adj[u] & g.adj[v]
-        # only w > v, so each triangle is listed once with u < v < w
-        common >>= v + 1
-        w = v + 1
-        while common:
-            shift = (common & -common).bit_length() - 1
-            w += shift
-            out.append(
-                Triangle(
-                    (u, v, w),
-                    (g.edge_index(u, v), g.edge_index(u, w), g.edge_index(v, w)),
-                )
-            )
-            common >>= shift + 1
-            w += 1
-    out.sort(key=lambda t: t.vertices)
-    return out
+    return [
+        Triangle(members, edges)
+        for members, edges in zip(cliques(g, 3), clique_edge_indices(g, 3))
+    ]
 
 
 def triangle_count(g: Graph) -> int:
@@ -217,6 +203,16 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
+    """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
+    if clique_order < 2:
+        raise ValueError("clique order must be at least 2")
+    return [
+        tuple(sorted(g.edge_index(u, v) for u, v in combinations(members, 2)))
+        for members in cliques(g, clique_order)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -241,9 +237,8 @@ def twin_classes(g: Graph) -> list[int]:
 def _min_colex_search(g: Graph):
     """Minimal colex adjacency bit-string over all relabelings.
 
-    Returns (levels, perm): levels[k] is an int whose k bits (most
-    significant first) give the adjacency of position k to positions
-    0..k-1; perm[i] is the original vertex placed at position i.  The
+    Returns levels: levels[k] is an int whose k bits (most significant
+    first) give the adjacency of position k to positions 0..k-1.  The
     concatenated levels are exactly the graph6 bit stream of the relabeled
     graph.
 
@@ -258,21 +253,18 @@ def _min_colex_search(g: Graph):
     n, adj = g.n, g.adj
     twins = twin_classes(g)
     levels = [0] * n
-    placed = [0] * n
     best_levels: list[int] = []
-    best_perm: list[int] = []
 
     def rec(k: int, row: int, first: int, rest: list, tight: bool) -> bool:
         """Search below the prefix levels[:k] + [row], where first is the
         cell of that row and rest the later (row, cell) pairs; tight iff the
         prefix equals the best one.  Returns True iff a new best was found."""
-        nonlocal best_levels, best_perm
+        nonlocal best_levels
         levels[k] = row
         if k == n - 1:
-            placed[k] = first.bit_length() - 1
             if tight:
                 return False  # equal to the best, not better
-            best_levels, best_perm = levels.copy(), placed.copy()
+            best_levels = levels.copy()
             return True
         improved = False
         candidates = first
@@ -293,14 +285,13 @@ def _min_colex_search(g: Graph):
                 if child_row > best_levels[k + 1]:
                     continue
                 child_tight = child_row == best_levels[k + 1]
-            placed[k] = v
             if rec(k + 1, child_row, child_first, child[1:], child_tight):
                 # the new best shares this prefix, so later siblings are tight
                 improved = tight = True
         return improved
 
     rec(0, 0, (1 << n) - 1, [], False)
-    return best_levels, best_perm
+    return best_levels
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -315,22 +306,12 @@ def canonical_form(g: Graph) -> bytes:
         raise LimitExceededError(
             f"canonical form supports n <= {MAX_CANONICAL_N}, got n={g.n}"
         )
-    levels, _ = _min_colex_search(g)
-    return _graph6_encode(g.n, levels).encode("ascii")
+    return _graph6_encode(g.n, _min_colex_search(g)).encode("ascii")
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
-    if g.n > MAX_CANONICAL_N:
-        raise LimitExceededError(
-            f"canonical form supports n <= {MAX_CANONICAL_N}, got n={g.n}"
-        )
-    _, perm = _min_colex_search(g)
-    # perm[i] = old vertex at new position i; invert for permuted()
-    inv = [0] * g.n
-    for newpos, old in enumerate(perm):
-        inv[old] = newpos
-    return g.permuted(inv)
+    return parse_graph6(canonical_form(g).decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

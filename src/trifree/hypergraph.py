@@ -13,12 +13,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import comb
 from operator import or_
 
 from .errors import LimitExceededError
-from .graphs import Graph, cliques
+from .graphs import Graph, clique_edge_indices
 
 MAX_COVERED_VERTICES = 30  # exact-count limit (for a graph: edges in some K_k copy)
 
@@ -82,16 +81,6 @@ class IndependenceProfile:
             acc = acc * a + c * qpow
             qpow *= b - a
         return Fraction(acc * (b - a) ** (v + 1 - len(self.counts)), b**v)
-
-
-def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
-    """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
-    if clique_order < 2:
-        raise ValueError("clique order must be at least 2")
-    return [
-        tuple(sorted(g.edge_index(u, v) for u, v in combinations(members, 2)))
-        for members in cliques(g, clique_order)
-    ]
 
 
 def from_graph(g: Graph, clique_order: int = 3) -> CliqueHypergraph:

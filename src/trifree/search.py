@@ -223,22 +223,22 @@ def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInt
 # upper envelope
 # ---------------------------------------------------------------------------
 
-_ENVELOPE_GRID = 64
-
-
-def _interior_roots(diff: Poly, tol) -> list[RootInterval]:
+def _interior_roots(diff: Poly, tol=Fraction(1, 10**12)) -> list[RootInterval]:
     """Isolate every root of diff in the open interval (0, 1).
 
     Differences of probability polynomials vanish at 0 and often at 1;
-    those factors p^a (1-p)^b are divided out exactly.  Bisection starts
-    from the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend on
-    them), each halved toward its end while the reduced polynomial still
-    has a root between the margin and that end.
+    those factors p^a (1-p)^b are divided out exactly, and a difference
+    whose reduced part has no root in (0, 1) stops after one Sturm count.
+    Bisection starts from the margins 2^-40 and 1 - 2^-40 (the crossover
+    bytes depend on them), each halved toward its end while the reduced
+    polynomial still has a root between the margin and that end.
     """
     low = next(j for j, c in enumerate(diff.coeffs) if c)
     reduced = Poly(diff.coeffs[low:])
     while reduced.eval(1) == 0:
         reduced = reduced.quotient(Poly((1, -1)))
+    if not count_roots(reduced, 0, 1):
+        return []
     lo, hi = Fraction(1, 1 << 40), 1 - Fraction(1, 1 << 40)
     while count_roots(reduced, 0, lo):
         lo /= 2
@@ -277,69 +277,73 @@ class EnvelopeReport:
         }
 
 
-def envelope(n: int, i: int, tol=Fraction(1, 10**12)) -> EnvelopeReport:
+def _cut(r: RootInterval) -> Fraction:
+    return (r.lo + r.hi) / 2
+
+
+def envelope(n: int, i: int) -> EnvelopeReport:
     """Which classes attain the maximum probability as p sweeps (0, 1).
 
-    Distinct polynomials are screened on the grid j/64; survivors get exact
-    pairwise root isolation of their differences (Sturm chains), and the
-    winner on each gap between consecutive crossovers is decided at a
-    rational interior point.  Adjacent gaps with the same winner merge.
-    Output for surplus i > 1 is exploratory data: outside the proven i = 1
-    case there is no closed-form claim to check it against.
+    Exact by winner extension, up to the 10^-12 width of a crossing
+    interval.  Between two cuts, the unique maximum w at a rational probe
+    wins up to its nearest crossing (a root of w - q, isolated by Sturm
+    chains once per pair) on each side, and each side left over splits
+    the same way.  A cut is the midpoint of its crossing interval; a
+    crossing whose interval holds a cut counts as that cut.  The probe
+    moves toward the left cut off ties and crossing intervals.  Output for
+    surplus i > 1 is exploratory data: outside the proven i = 1 case there
+    is no closed-form claim to check it against.
     """
     m = n * n // 4 + i
     reps = enumerate_graphs(n, m)
     by_poly: dict[Poly, list[str]] = {}
     for g in reps:
         by_poly.setdefault(tf_poly(g), []).append(write_graph6(g))
-    polys = sorted(by_poly, key=lambda q: q.coeffs)
+    crossings: dict[tuple[Poly, Poly], list[RootInterval]] = {}
 
-    # grid screening: keep polynomials maximal somewhere on the grid
-    survivors: set[Poly] = set()
-    for j in range(1, _ENVELOPE_GRID):
-        p = Fraction(j, _ENVELOPE_GRID)
-        values = [(q.eval(p), q) for q in polys]
-        top = max(v for v, _ in values)
-        survivors.update(q for v, q in values if v == top)
-    cand = sorted(survivors, key=lambda q: q.coeffs)
+    def roots(w: Poly, q: Poly) -> list[RootInterval]:
+        pair = (w, q) if w.coeffs < q.coeffs else (q, w)
+        if pair not in crossings:
+            crossings[pair] = _interior_roots(pair[0] - pair[1])
+        return crossings[pair]
 
-    # exact breakpoints: all crossings among surviving candidates
-    roots: list[RootInterval] = []
-    for a_idx in range(len(cand)):
-        for b_idx in range(a_idx + 1, len(cand)):
-            diff = cand[a_idx] - cand[b_idx]
-            if not diff.is_zero():
-                roots.extend(_interior_roots(diff, tol))
-    roots.sort(key=lambda r: r.lo)
-    merged: list[RootInterval] = []
-    for r in roots:
-        if merged and r.lo <= merged[-1].hi:
-            merged[-1] = RootInterval(merged[-1].lo, max(merged[-1].hi, r.hi))
-        else:
-            merged.append(r)
-
-    # decide the winner strictly inside each gap between crossovers
-    cuts = [Fraction(0)] + [(r.lo + r.hi) / 2 for r in merged] + [Fraction(1)]
-    raw_segments: list[tuple[Fraction, Fraction, tuple[str, ...]]] = []
-    for lo_cut, hi_cut in zip(cuts, cuts[1:]):
-        probe = (lo_cut + hi_cut) / 2
-        values = [(q.eval(probe), q) for q in cand]
-        top = max(v for v, _ in values)
-        names = sorted(
-            name for v, q in values if v == top for name in by_poly[q]
-        )
-        raw_segments.append((lo_cut, hi_cut, tuple(names)))
+    def pieces(lo: RootInterval, hi: RootInterval) -> list:
+        a, b = _cut(lo), _cut(hi)
+        if a >= b:
+            return []
+        x = (a + b) / 2
+        while True:
+            values = [(q.eval(x), q) for q in by_poly]
+            top = max(v for v, _ in values)
+            tied = [q for v, q in values if v == top]
+            if len(tied) == 1:
+                w = tied[0]
+                inner = [
+                    r
+                    for q in by_poly
+                    if q != w
+                    for r in roots(w, q)
+                    if a < r.lo and r.hi < b
+                ]
+                if not any(r.lo <= x <= r.hi for r in inner):
+                    break
+            x = (a + x) / 2
+        left = max((r for r in inner if r.hi < x), key=_cut, default=lo)
+        right = min((r for r in inner if r.lo > x), key=_cut, default=hi)
+        names = tuple(sorted(by_poly[w]))
+        return pieces(lo, left) + [(left, right, names)] + pieces(right, hi)
 
     segments: list[EnvelopeSegment] = []
-    kept_crossovers: list[RootInterval] = []
-    for idx, (lo_cut, hi_cut, names) in enumerate(raw_segments):
+    crossovers: list[RootInterval] = []
+    ends = RootInterval(Fraction(0), Fraction(0)), RootInterval(Fraction(1), Fraction(1))
+    for lo, hi, names in pieces(*ends):
         if segments and segments[-1].maximizers == names:
-            segments[-1] = EnvelopeSegment(segments[-1].lo, hi_cut, names)
+            segments[-1] = EnvelopeSegment(segments[-1].lo, _cut(hi), names)
         else:
             if segments:
-                kept_crossovers.append(merged[idx - 1])
-            segments.append(EnvelopeSegment(lo_cut, hi_cut, names))
-    return EnvelopeReport(n, i, tuple(segments), tuple(kept_crossovers))
+                crossovers.append(lo)
+            segments.append(EnvelopeSegment(_cut(lo), _cut(hi), names))
+    return EnvelopeReport(n, i, tuple(segments), tuple(crossovers))
 
 
 # ---------------------------------------------------------------------------

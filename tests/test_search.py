@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -32,6 +33,7 @@ from trifree import (
     verify_one_extra_optimum,
     write_graph6,
 )
+from trifree import search
 from trifree.enumeration import class_names
 from trifree.search import _interior_roots, count_roots
 
@@ -328,6 +330,30 @@ def test_envelope_consistency_other_budgets():
             best = max(q.eval(p) for q in polys.values())
             seg = next(s for s in env.segments if s.lo < p < s.hi or s.lo == p)
             assert polys[seg.maximizers[0]].eval(p) == best, (n, i, p)
+
+
+def test_envelope_finds_a_winner_between_grid_points(monkeypatch):
+    # 2 - p - (1000p - 303)^2 beats 1 - p only on (0.302, 0.304), which
+    # holds no point j/64 (19/64 < 0.302 < 0.304 < 20/64)
+    broad, narrow = Poly((1, -1)), Poly((2, -1)) - Poly((-303, 1000)) * Poly((-303, 1000))
+    fakes = {parse_graph6("A_"): broad, parse_graph6("A?"): narrow}
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    env = envelope(2, 0)
+    assert [seg.maximizers for seg in env.segments] == [("A_",), ("A?",), ("A_",)]
+    a, b = env.crossovers
+    assert a.lo < Fraction(302, 1000) < a.hi and b.lo < Fraction(304, 1000) < b.hi
+    assert env.segments[1].lo < Fraction(303, 1000) < env.segments[1].hi
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("n, i", [(7, 2), (7, 4)])
+def test_envelope_n7_matches_reference(n, i):
+    expected = json.loads(REFERENCES.read_text())["search_n7"][f"envelope({n},{i})"]
+    got = json.dumps(envelope(n, i).to_json(), sort_keys=True, separators=(",", ":"))
+    assert got == expected
 
 
 def test_envelope_deterministic():
