@@ -160,10 +160,6 @@ def _convolve(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pad(profile, length: int) -> tuple[int, ...]:
-    return tuple(profile) + (0,) * (length - len(profile))
-
-
 def _union(masks) -> int:
     return reduce(or_, masks, 0)
 
@@ -191,57 +187,66 @@ def _components(hedges: frozenset[int]) -> list[frozenset[int]]:
     return comps
 
 
-def _count_component(hedges: frozenset[int], memo: dict) -> tuple[int, ...]:
-    """Independent-set counts by size over exactly the vertices covered by
-    hedges.  Branches on a highest-degree vertex; vertices freed along the
-    way contribute binomial factors."""
+def _pivot(hedges) -> tuple[int, int]:
+    """(pivot bit, union) of nonempty hyperedge masks.
+
+    Degrees are carry-save counters: bit b of slices[i] is bit i of the
+    number of hyperedges through vertex b.  The pivot is the lowest bit
+    among the vertices of maximum degree.
+    """
+    slices: list[int] = []
+    for carry in hedges:
+        for i, s in enumerate(slices):
+            slices[i] = s ^ carry
+            carry &= s
+            if not carry:
+                break
+        else:
+            slices.append(carry)
+    top = union = _union(slices)
+    for s in reversed(slices):
+        if top & s:
+            top &= s
+    return top & -top, union
+
+
+def _count_component(hedges: frozenset[int], memo: dict, w: int, rows: list[int]) -> int:
+    """Packed independent-set counts by size over exactly the vertices
+    covered by hedges: count s in bits [s*w, (s+1)*w).  Branches on a
+    highest-degree vertex; freed vertices multiply by rows[f], the packed
+    binomial row (1 + x)^f."""
     cached = memo.get(hedges)
     if cached is not None:
         return cached
-
-    degree: dict[int, int] = {}  # vertex bit -> number of hyperedges through it
-    for e in hedges:
-        while e:
-            low = e & -e
-            degree[low] = degree.get(low, 0) + 1
-            e ^= low
-    ncov = len(degree)
-    pivot = max(degree, key=lambda b: (degree[b], -b))
+    pivot, union = _pivot(hedges)
+    ncov = union.bit_count()
 
     # pivot excluded: every hyperedge through it is satisfied
     kept = frozenset(e for e in hedges if not e & pivot)
-    sub = _profile_over(kept, memo)
     freed = ncov - 1 - _union(kept).bit_count()
-    excl = _convolve(sub, _binomial_row(freed)) if freed else sub
+    result = _profile_over(kept, memo, w, rows) * rows[freed]
 
     # pivot included: hyperedges through it shrink; a one-vertex remnant
     # forces that vertex out, which satisfies every hyperedge through it
     # (nothing shrinks further, so one pass finds every forced vertex)
     shrunk = {e & ~pivot for e in hedges}
-    if 0 in shrunk:
-        incl = (0,)
-    else:
+    if 0 not in shrunk:
         forced_out = _union(e for e in shrunk if e & (e - 1) == 0)
         remaining = frozenset(e for e in shrunk if not e & forced_out)
-        sub = _profile_over(remaining, memo)
         freed = ncov - 1 - forced_out.bit_count() - _union(remaining).bit_count()
-        incl = _convolve(sub, _binomial_row(freed)) if freed else sub
-        incl = (0,) + tuple(incl)  # shift: pivot itself is in the set
-
-    total_len = ncov + 1
-    result = tuple(
-        x + y for x, y in zip(_pad(excl, total_len), _pad(incl, total_len))
-    )
+        # shift: the pivot itself is in the set
+        result += _profile_over(remaining, memo, w, rows) * rows[freed] << w
     memo[hedges] = result
     return result
 
 
-def _profile_over(hedges: frozenset[int], memo: dict) -> tuple[int, ...]:
-    """Counts by size over the covered vertices of hedges (1-profile if none)."""
-    if not hedges:
-        return (1,)
-    profiles = [_count_component(c, memo) for c in _components(hedges)]
-    return reduce(_convolve, profiles)
+def _profile_over(hedges: frozenset[int], memo: dict, w: int, rows: list[int]) -> int:
+    """Packed counts over the covered vertices of hedges (1 if none)."""
+    result = 1
+    if hedges:
+        for c in _components(hedges):
+            result *= _count_component(c, memo, w, rows)
+    return result
 
 
 def covered_profile(hyperedges) -> tuple[int, ...]:
@@ -251,12 +256,21 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     exact.tf_profile/tf_poly are maps over it.  Covered vertices are
     renumbered to bit positions and hyperedges become int masks; the count
     branches on a highest-degree vertex, splits into connected components
-    and memoizes sub-hypergraphs.  Entry s counts the s-subsets of the
-    covered vertices; callers check the size limit first.
+    and memoizes sub-hypergraphs.  A profile is one packed int with count
+    s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count
+    exceeds 2^c, so sums and products never carry between slots, and
+    convolution is one multiplication.  Entry s counts the s-subsets of
+    the covered vertices; callers check the size limit first.
     """
     covered = sorted({v for e in hyperedges for v in e})
     bit = {v: 1 << i for i, v in enumerate(covered)}
-    return _profile_over(frozenset(_union(bit[v] for v in e) for e in hyperedges), {})
+    c = len(covered)
+    w = c + 1
+    rows = [(1 + (1 << w)) ** f for f in range(c + 1)]
+    hedges = frozenset(_union(bit[v] for v in e) for e in hyperedges)
+    packed = _profile_over(hedges, {}, w, rows)
+    mask = (1 << w) - 1
+    return tuple(packed >> (s * w) & mask for s in range(c + 1))
 
 
 def add_free_vertices(core, vertex_count: int) -> tuple[int, ...]:

@@ -119,17 +119,26 @@ class Poly:
             return self
         return Poly((0,) * k + self.coeffs)
 
-    def eval(self, p) -> Fraction:
-        """Exact value at a rational point a/b: the integer Horner sum
-        sum_k c_k a^k b^(d-k), over b^d."""
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
+    def _horner(self, a: int, b: int) -> tuple[int, int]:
+        """(sum_k c_k a^k b^(d-k), b^(d+1)); (0, 1) for the zero polynomial."""
         acc, den = 0, 1
         for c in reversed(self.coeffs):
             acc = acc * a + c * den
             den *= b
-        # den is b^(d+1) here (1 for the zero polynomial)
-        return Fraction(acc * b, den)
+        return acc, den
+
+    def eval(self, p) -> Fraction:
+        """Exact value at a rational point a/b: the integer Horner sum
+        sum_k c_k a^k b^(d-k), over b^d."""
+        p = Fraction(p)
+        acc, den = self._horner(p.numerator, p.denominator)
+        return Fraction(acc * p.denominator, den)
+
+    def sign_at(self, p) -> int:
+        """Sign (-1, 0 or 1) of the value at a rational p (int or Fraction):
+        the sign of the integer Horner sum, with no Fraction built."""
+        acc, _ = self._horner(p.numerator, p.denominator)
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))

@@ -131,11 +131,7 @@ def _sturm_chain(f: Poly) -> list[Poly]:
 
 
 def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        v = f.eval(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (f.sign_at(x) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -167,7 +163,7 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
     """Disjoint rational intervals of width <= tol, one per distinct root of
     poly in the open interval (lo, hi).  Endpoints must not be roots."""
     lo, hi = Fraction(lo), Fraction(hi)
-    if poly.eval(lo) == 0 or poly.eval(hi) == 0:
+    if not poly.sign_at(lo) or not poly.sign_at(hi):
         raise ValueError("interval endpoint is a root; perturb the endpoints")
     chain = _sturm_chain(poly)
 
@@ -184,7 +180,7 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
             out.append(RootInterval(a, b))
             return
         mid = (a + b) / 2
-        while poly.eval(mid) == 0:
+        while not poly.sign_at(mid):
             # root exactly at the midpoint: nudge the cut inside the interval
             mid = (a + mid) / 2
         vm = var(mid)
@@ -223,26 +219,42 @@ def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInt
 # upper envelope
 # ---------------------------------------------------------------------------
 
+def _descartes_no_root_in_unit_interval(f: Poly) -> bool:
+    """True when Descartes' rule proves f has no root in (0, 1).
+
+    p = 1/(1+t) maps (0, 1) onto t > 0, and (1+t)^d f(1/(1+t)) is the
+    reversed coefficient list Taylor-shifted by 1; with no sign change
+    there it has no positive root.  False proves nothing.
+    """
+    c = list(reversed(f.coeffs))
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    signs = [x > 0 for x in c if x]
+    return all(signs) or not any(signs)
+
+
 def _interior_roots(diff: Poly, tol=Fraction(1, 10**12)) -> list[RootInterval]:
     """Isolate every root of diff in the open interval (0, 1).
 
     Differences of probability polynomials vanish at 0 and often at 1;
     those factors p^a (1-p)^b are divided out exactly, and a difference
-    whose reduced part has no root in (0, 1) stops after one Sturm count.
+    whose reduced part has no root in (0, 1) stops after Descartes' rule
+    of signs or, when that is inconclusive, one Sturm count.
     Bisection starts from the margins 2^-40 and 1 - 2^-40 (the crossover
     bytes depend on them), each halved toward its end while the reduced
     polynomial still has a root between the margin and that end.
     """
     low = next(j for j, c in enumerate(diff.coeffs) if c)
     reduced = Poly(diff.coeffs[low:])
-    while reduced.eval(1) == 0:
+    while not reduced.sign_at(1):
         reduced = reduced.quotient(Poly((1, -1)))
-    if not count_roots(reduced, 0, 1):
+    if _descartes_no_root_in_unit_interval(reduced) or not count_roots(reduced, 0, 1):
         return []
     lo, hi = Fraction(1, 1 << 40), 1 - Fraction(1, 1 << 40)
     while count_roots(reduced, 0, lo):
         lo /= 2
-    while reduced.eval(hi) == 0 or count_roots(reduced, hi, 1):
+    while not reduced.sign_at(hi) or count_roots(reduced, hi, 1):
         hi = (hi + 1) / 2
     return isolate_roots(reduced, lo, hi, tol)
 

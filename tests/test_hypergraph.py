@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -23,7 +26,7 @@ from trifree import (
     write_hypergraph,
 )
 from trifree.errors import LimitExceededError
-from trifree.hypergraph import clique_edge_indices
+from trifree.hypergraph import _count_component, _pivot, clique_edge_indices, covered_profile
 
 P_GRID = tuple(Fraction(k, 10) for k in (1, 2, 5, 7, 9)) + (Fraction(1, 4), Fraction(3, 4))
 
@@ -213,6 +216,51 @@ def test_covered_vertex_limit():
     big = CliqueHypergraph(33, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(11)))
     with pytest.raises(LimitExceededError):
         independence_profile(big)
+
+
+def test_packed_slot_width_at_the_limit():
+    # C(30, 15) ~ 2^27.2 needs 28 bits: a narrower slot carries into the next
+    expected = tuple(comb(30, s) for s in range(30)) + (0,)
+    assert covered_profile([tuple(range(30))]) == expected
+
+
+def degree_dict_pivot(masks) -> int:
+    """The pivot rule by a per-bit degree dict: lowest bit of maximum degree."""
+    degree: dict[int, int] = {}
+    for e in masks:
+        while e:
+            low = e & -e
+            degree[low] = degree.get(low, 0) + 1
+            e ^= low
+    return max(degree, key=lambda b: (degree[b], -b))
+
+
+def test_bit_sliced_pivot_matches_degree_rule():
+    rng = random.Random(10)
+    for _ in range(500):
+        width = rng.randint(1, 30)
+        masks = frozenset(
+            rng.getrandbits(width) | 1 << rng.randrange(width)
+            for _ in range(rng.randint(1, 60))
+        )
+        pivot, union = _pivot(masks)
+        assert pivot == degree_dict_pivot(masks)
+        assert union == reduce(or_, masks)
+
+
+@pytest.mark.parametrize("k, calls", [(3, 2309), (4, 3771)])
+def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
+    # a change to the branching tree (pivot, components, memo) shows here
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return _count_component(*args)
+
+    monkeypatch.setattr("trifree.hypergraph._count_component", counted)
+    tf_profile(complete_graph(7), k)
+    assert count == calls
 
 
 def test_text_format_roundtrip():

@@ -42,6 +42,16 @@ def test_eval_horner():
     assert Poly.zero().eval(Fraction(-5, 3)) == 0
 
 
+def test_sign_at_matches_eval():
+    p = Poly((1, 0, 0, -3, 0, 3, 0, -1))  # a root at 1
+    for x in (0, 1, 2, -1, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)):
+        v = p.eval(x)
+        assert p.sign_at(x) == (v > 0) - (v < 0)
+    assert Poly((-1, 2)).sign_at(Fraction(1, 2)) == 0
+    assert Poly.zero().sign_at(Fraction(3, 7)) == 0
+    assert Poly((-5,)).sign_at(9) == -1
+
+
 def test_exact_division():
     # (1-p)^3 * (1 + p + p^2) recovered by quotient
     prod = Poly.one_minus_x_power(3) * Poly((1, 1, 1))

@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trifree import Poly, isolate_roots  # noqa: E402
-from trifree.search import count_roots  # noqa: E402
+from trifree.search import _descartes_no_root_in_unit_interval, count_roots  # noqa: E402
 
 # derandomized: the same examples on every run, no example database on disk
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -76,3 +76,10 @@ def test_isolate_roots_encloses_each_sympy_root_once(f, interval):
         assert r.hi - r.lo <= TOL
         a, b = as_rational(r.lo), as_rational(r.hi)
         assert sum(1 for x in inside if a <= x <= b) == 1
+
+
+@PROPERTY
+@given(integer_polys())
+def test_descartes_test_never_hides_a_unit_interval_root(f):
+    if _descartes_no_root_in_unit_interval(f):
+        assert as_sympy(f).count_roots(0, 1) == (f[0] == 0) + (f.sign_at(1) == 0)
