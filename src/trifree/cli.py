@@ -29,17 +29,19 @@ def parse_probability(text: str) -> tuple[Fraction, bool]:
     Returns (value, came_from_decimal).
     """
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"probability {text!r} has a zero denominator")
-        return Fraction(int(num), int(den)), False
-    if "." in text:
+    if "." in text and "/" not in text:
         whole, frac = text.split(".", 1)
         if not (whole + frac).isdigit() and not (whole in ("", "-") and frac.isdigit()):
             raise ValueError(f"cannot parse probability {text!r}")
         return Fraction(text), True
-    return Fraction(int(text)), False
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"cannot parse probability {text!r}") from None
+    if den == 0:
+        raise ValueError(f"probability {text!r} has a zero denominator")
+    return Fraction(num, den), False
 
 
 def resolve_graph(source: str) -> graphs.Graph:

@@ -51,13 +51,18 @@ def _covered_core(g: Graph, clique_order: int) -> tuple[int, ...]:
 
 
 def _core_poly(core: tuple[int, ...]) -> Poly:
-    """sum_j core[j] p^j (1-p)^(c-j) over the c covered edges."""
+    """sum_j core[j] p^j (1-p)^(c-j) over the c covered edges, in one
+    integer pass: core[j] adds (-1)^i C(c-j, i) to the coefficient of p^(j+i)."""
     c = len(core) - 1
-    total = Poly.zero()
+    out = [0] * (c + 1)
     for j, x in enumerate(core):
-        if x:
-            total = total + Poly.one_minus_x_power(c - j).scale(x).shift(j)
-    return total
+        if not x:
+            continue
+        term, rest = x, c - j
+        for i in range(rest + 1):
+            out[j + i] += term
+            term = -term * (rest - i) // (i + 1)
+    return Poly(out)
 
 
 def tf_profile(g: Graph, clique_order: int = 3) -> TfProfile:

@@ -164,8 +164,9 @@ def _union(masks) -> int:
     return reduce(or_, masks, 0)
 
 
-def _components(hedges: frozenset[int]) -> list[frozenset[int]]:
-    """Partition hyperedge masks into connected components (shared vertices)."""
+def _components(hedges) -> list[tuple[int, list[int]]]:
+    """Partition hyperedge masks into connected components (shared
+    vertices): (vertex union, masks) per component."""
     remaining = list(hedges)
     comps = []
     while remaining:
@@ -183,7 +184,7 @@ def _components(hedges: frozenset[int]) -> list[frozenset[int]]:
                 else:
                     rest.append(e)
             remaining = rest
-        comps.append(frozenset(comp))
+        comps.append((verts, comp))
     return comps
 
 
@@ -210,43 +211,49 @@ def _pivot(hedges) -> tuple[int, int]:
     return top & -top, union
 
 
-def _count_component(hedges: frozenset[int], memo: dict, w: int, rows: list[int]) -> int:
-    """Packed independent-set counts by size over exactly the vertices
-    covered by hedges: count s in bits [s*w, (s+1)*w).  Branches on a
-    highest-degree vertex; freed vertices multiply by rows[f], the packed
-    binomial row (1 + x)^f."""
-    cached = memo.get(hedges)
+def _count_component(hedges: list[int], ncov: int, memo: dict, w: int, rows: list[int]) -> int:
+    """Packed independent-set counts by size over exactly the ncov vertices
+    covered by hedges (distinct masks, one component): count s in bits
+    [s*w, (s+1)*w).  Branches on a highest-degree vertex; freed vertices
+    multiply by rows[f], the packed binomial row (1 + x)^f."""
+    cached = memo.get(key := frozenset(hedges))
     if cached is not None:
         return cached
-    pivot, union = _pivot(hedges)
-    ncov = union.bit_count()
+    pivot, _ = _pivot(hedges)
 
     # pivot excluded: every hyperedge through it is satisfied
-    kept = frozenset(e for e in hedges if not e & pivot)
-    freed = ncov - 1 - _union(kept).bit_count()
-    result = _profile_over(kept, memo, w, rows) * rows[freed]
+    packed, covered = _profile_over([e for e in hedges if not e & pivot], memo, w, rows)
+    result = packed * rows[ncov - 1 - covered]
 
     # pivot included: hyperedges through it shrink; a one-vertex remnant
     # forces that vertex out, which satisfies every hyperedge through it
     # (nothing shrinks further, so one pass finds every forced vertex)
     shrunk = {e & ~pivot for e in hedges}
     if 0 not in shrunk:
-        forced_out = _union(e for e in shrunk if e & (e - 1) == 0)
-        remaining = frozenset(e for e in shrunk if not e & forced_out)
-        freed = ncov - 1 - forced_out.bit_count() - _union(remaining).bit_count()
+        forced_out = 0
+        for e in shrunk:
+            if e & (e - 1) == 0:
+                forced_out |= e
+        packed, covered = _profile_over(
+            [e for e in shrunk if not e & forced_out], memo, w, rows
+        )
+        freed = ncov - 1 - forced_out.bit_count() - covered
         # shift: the pivot itself is in the set
-        result += _profile_over(remaining, memo, w, rows) * rows[freed] << w
-    memo[hedges] = result
+        result += packed * rows[freed] << w
+    memo[key] = result
     return result
 
 
-def _profile_over(hedges: frozenset[int], memo: dict, w: int, rows: list[int]) -> int:
-    """Packed counts over the covered vertices of hedges (1 if none)."""
-    result = 1
+def _profile_over(hedges: list[int], memo: dict, w: int, rows: list[int]) -> tuple[int, int]:
+    """(packed counts over the covered vertices of hedges, number of those
+    vertices); (1, 0) if there are none."""
+    result, covered = 1, 0
     if hedges:
-        for c in _components(hedges):
-            result *= _count_component(c, memo, w, rows)
-    return result
+        for union, comp in _components(hedges):
+            ncov = union.bit_count()
+            result *= _count_component(comp, ncov, memo, w, rows)
+            covered += ncov
+    return result, covered
 
 
 def covered_profile(hyperedges) -> tuple[int, ...]:
@@ -267,8 +274,8 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     c = len(covered)
     w = c + 1
     rows = [(1 + (1 << w)) ** f for f in range(c + 1)]
-    hedges = frozenset(_union(bit[v] for v in e) for e in hyperedges)
-    packed = _profile_over(hedges, {}, w, rows)
+    hedges = list({_union(bit[v] for v in e) for e in hyperedges})
+    packed, _ = _profile_over(hedges, {}, w, rows)
     mask = (1 << w) - 1
     return tuple(packed >> (s * w) & mask for s in range(c + 1))
 

@@ -12,6 +12,8 @@ second enumeration route beside the library's vertex recursion.
 fraction_eval, fraction_bernstein and fraction_divmod do polynomial
 arithmetic over Fraction, one rational operation at a time, beside the
 library's integer Horner sums and integer long division.
+poly_sum_bernstein builds a count profile's polynomial as a sum of Poly
+objects, beside the library's single integer pass.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 
 from trifree import (
     Graph,
+    Poly,
     build_graph,
     canonical_form,
     complete_bipartite,
@@ -199,6 +202,17 @@ def fraction_bernstein(counts, v: int, p) -> Fraction:
     """sum_s counts[s] p^s (1-p)^(v-s) over Fraction."""
     p = Fraction(p)
     return sum((c * p**s * (1 - p) ** (v - s) for s, c in enumerate(counts)), Fraction(0))
+
+
+def poly_sum_bernstein(counts) -> Poly:
+    """sum_s counts[s] p^s (1-p)^(v-s), v = len(counts) - 1, as one Poly
+    addition of (1-p)^(v-s) scaled and shifted per nonzero count."""
+    v = len(counts) - 1
+    total = Poly.zero()
+    for s, c in enumerate(counts):
+        if c:
+            total = total + Poly.one_minus_x_power(v - s).scale(c).shift(s)
+    return total
 
 
 def fraction_divmod(dividend, divisor) -> tuple[list[Fraction], list[Fraction]]:

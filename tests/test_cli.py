@@ -34,6 +34,18 @@ def test_parse_probability():
         parse_probability("half")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_probability("1/0")
+    for bad in ("nan", "inf", "1e400", "1/2.5"):
+        with pytest.raises(ValueError, match=f"^cannot parse probability '{bad}'$"):
+            parse_probability(bad)
+
+
+@pytest.mark.parametrize("command", ["phi", "mc"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1/2.5"])
+def test_unparsable_probability_exit_2(capsys, command, bad):
+    code, out, err = run_cli(capsys, [command, "--construct", "K:3,3", "--p", bad])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse probability '{bad}'\n"
 
 
 def test_resolve_graph_constructors():

@@ -1,15 +1,22 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import brute_tf_profile, complete_multipartite, subset_tf_profile
+from conftest import (
+    brute_tf_profile,
+    complete_multipartite,
+    poly_sum_bernstein,
+    subset_tf_profile,
+)
 from trifree import (
     LimitExceededError,
     Poly,
     build_graph,
     complete_bipartite,
     complete_graph,
+    enumerate_graphs,
     from_graph,
     independence_probability,
     mantel_plus_one,
@@ -19,6 +26,8 @@ from trifree import (
     triangle_count,
     two_extra_edge_candidates,
 )
+from trifree.exact import _core_poly, _covered_core
+from trifree.hypergraph import covered_profile
 
 P_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -99,13 +108,23 @@ def test_poly_coefficient_anchors(corpus):
 def test_poly_equals_profile_sum(small_corpus):
     # the polynomial is literally sum_s tf(s) p^s (1-p)^(m-s)
     for name, g in small_corpus:
-        counts = tf_profile(g).counts
-        m = g.m
-        direct = Poly.zero()
-        for s, c in enumerate(counts):
-            if c:
-                direct = direct + Poly.one_minus_x_power(m - s).scale(c).shift(s)
-        assert direct == tf_poly(g), name
+        assert poly_sum_bernstein(tf_profile(g).counts) == tf_poly(g), name
+
+
+def test_core_poly_integer_pass_matches_poly_sum():
+    for m in range(comb(7, 2) + 1):
+        for g in enumerate_graphs(7, m):
+            for k in (3, 4):
+                core = _covered_core(g, k)
+                assert _core_poly(core) == poly_sum_bernstein(core), (m, k)
+    # c = 30: ten disjoint triangles (no count above size 20), and 31
+    # nonzero counts of up to 2^30
+    triangles = covered_profile([(3 * t, 3 * t + 1, 3 * t + 2) for t in range(10)])
+    rng = random.Random(30)
+    dense = tuple(rng.randint(1, 1 << 30) for _ in range(31))
+    for core in (triangles, dense):
+        assert len(core) == 31
+        assert _core_poly(core) == poly_sum_bernstein(core)
 
 
 def test_poly_monotone_decreasing_in_p(corpus):

@@ -10,6 +10,7 @@ import pytest
 from conftest import brute_independence_profile
 from trifree import (
     CliqueHypergraph,
+    build_graph,
     complete_bipartite,
     complete_graph,
     estimate_tf,
@@ -260,6 +261,30 @@ def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
 
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
     tf_profile(complete_graph(7), k)
+    assert count == calls
+
+
+def disjoint_cliques(*orders: int):
+    """Disjoint union of complete graphs of the given orders."""
+    edges, base = [], 0
+    for order in orders:
+        edges += [(base + a, base + b) for a in range(order) for b in range(a + 1, order)]
+        base += order
+    return build_graph(base, edges)
+
+
+@pytest.mark.parametrize("k, calls", [(3, 84), (4, 69)])
+def test_branching_tree_size_is_pinned_on_disjoint_blocks(monkeypatch, k, calls):
+    # K5 + K5 + K4 splits into components at the top level, as K7 never does
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return _count_component(*args)
+
+    monkeypatch.setattr("trifree.hypergraph._count_component", counted)
+    tf_profile(disjoint_cliques(5, 5, 4), k)
     assert count == calls
 
 

@@ -1,5 +1,6 @@
 """Property tests: the exact counting engine against the brute-force oracles
-on random small graphs and random linear triple systems."""
+on random small graphs, random linear triple systems and random hypergraphs
+of mixed edge sizes."""
 
 from itertools import combinations
 
@@ -9,18 +10,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import brute_independence_profile, brute_tf_profile  # noqa: E402
+from conftest import (  # noqa: E402
+    brute_independence_profile,
+    brute_tf_profile,
+    poly_sum_bernstein,
+)
 from trifree import (  # noqa: E402
     CliqueHypergraph,
-    Poly,
     build_graph,
     independence_profile,
     tf_poly,
     tf_profile,
 )
+from trifree.hypergraph import covered_profile  # noqa: E402
 
 # derandomized: the same examples on every run, no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ENGINE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MAX_EDGES = 12  # brute_tf_profile walks all 2^m edge subsets
 
 
@@ -46,6 +52,28 @@ def linear_triple_systems(draw):
     return CliqueHypergraph(v, tuple(tuple(sorted(t)) for t in kept))
 
 
+@st.composite
+def mixed_hypergraphs(draw):
+    """Hyperedges of sizes 1 to 5 on at most 14 vertices, as no clique
+    hypergraph has them: up to four disjoint blocks, repeated hyperedges
+    and hyperedges nested inside others, under a random relabeling."""
+    hedges: list[list[int]] = []
+    base = 0
+    for size in draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)):
+        size = min(size, 14 - base)
+        if size == 0:
+            break
+        block = st.sampled_from(range(base, base + size))
+        hedge = st.lists(block, min_size=1, max_size=min(5, size), unique=True)
+        hedges += draw(st.lists(hedge, min_size=1, max_size=6))
+        base += size
+    for _ in range(draw(st.integers(0, 3))):
+        outer = draw(st.sampled_from(hedges))
+        hedges.append(draw(st.lists(st.sampled_from(outer), min_size=1, unique=True)))
+    label = draw(st.permutations(range(14)))
+    return [[label[v] for v in e] for e in draw(st.permutations(hedges))]
+
+
 @PROPERTY
 @given(small_graphs(), st.sampled_from((3, 4)))
 def test_tf_profile_matches_brute_force(g, k):
@@ -55,11 +83,7 @@ def test_tf_profile_matches_brute_force(g, k):
 @PROPERTY
 @given(small_graphs(), st.sampled_from((3, 4)))
 def test_tf_poly_is_the_profile_polynomial(g, k):
-    counts = tf_profile(g, k).counts
-    direct = Poly.zero()
-    for s, c in enumerate(counts):
-        direct = direct + Poly.one_minus_x_power(g.m - s).scale(c).shift(s)
-    assert tf_poly(g, k) == direct
+    assert tf_poly(g, k) == poly_sum_bernstein(tf_profile(g, k).counts)
 
 
 @PROPERTY
@@ -68,3 +92,12 @@ def test_independence_profile_matches_brute_force(h):
     assert independence_profile(h).counts == brute_independence_profile(
         h.vertex_count, h.hyperedges
     )
+
+
+@ENGINE
+@given(mixed_hypergraphs())
+def test_covered_profile_matches_brute_force_on_mixed_sizes(hedges):
+    covered = sorted({v for e in hedges for v in e})
+    index = {v: i for i, v in enumerate(covered)}
+    renumbered = [[index[v] for v in e] for e in hedges]
+    assert covered_profile(hedges) == brute_independence_profile(len(covered), renumbered)
