@@ -81,12 +81,6 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     return _core_poly(_covered_core(g, clique_order))
 
 
-def tf_profile_and_poly(g: Graph, clique_order: int = 3) -> tuple[TfProfile, Poly]:
-    """(tf_profile(g, k), tf_poly(g, k)) from one run of the counting engine."""
-    core = _covered_core(g, clique_order)
-    return TfProfile(g.m, add_free_vertices(core, g.m), clique_order), _core_poly(core)
-
-
 def poly_eval(poly: Poly, p) -> Fraction:
     """Exact value at a probability p in [0, 1]."""
     p = Fraction(p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import or_
 
@@ -20,6 +20,7 @@ from .errors import LimitExceededError
 from .graphs import Graph, clique_edge_indices
 
 MAX_COVERED_VERTICES = 30  # exact-count limit (for a graph: edges in some K_k copy)
+PROFILE_CACHE_SIZE = 2048  # covered profiles kept per process; >= 1,646 classes at n=8, m=14
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,13 @@ def _components(hedges) -> list[tuple[int, list[int]]]:
     return comps
 
 
-def _pivot(hedges) -> tuple[int, int]:
-    """(pivot bit, union) of nonempty hyperedge masks.
+def _pivot(hedges) -> int:
+    """Pivot bit of nonempty hyperedge masks: the lowest bit among the
+    vertices of maximum degree.
 
     Degrees are carry-save counters: bit b of slices[i] is bit i of the
-    number of hyperedges through vertex b.  The pivot is the lowest bit
-    among the vertices of maximum degree.
+    number of hyperedges through vertex b.  The top slice is never zero,
+    so narrowing from all bits keeps only vertices of positive degree.
     """
     slices: list[int] = []
     for carry in hedges:
@@ -204,11 +206,11 @@ def _pivot(hedges) -> tuple[int, int]:
                 break
         else:
             slices.append(carry)
-    top = union = _union(slices)
+    top = -1
     for s in reversed(slices):
         if top & s:
             top &= s
-    return top & -top, union
+    return top & -top
 
 
 def _count_component(hedges: list[int], ncov: int, memo: dict, w: int, rows: list[int]) -> int:
@@ -219,7 +221,7 @@ def _count_component(hedges: list[int], ncov: int, memo: dict, w: int, rows: lis
     cached = memo.get(key := frozenset(hedges))
     if cached is not None:
         return cached
-    pivot, _ = _pivot(hedges)
+    pivot = _pivot(hedges)
 
     # pivot excluded: every hyperedge through it is satisfied
     packed, covered = _profile_over([e for e in hedges if not e & pivot], memo, w, rows)
@@ -268,14 +270,26 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     exceeds 2^c, so sums and products never carry between slots, and
     convolution is one multiplication.  Entry s counts the s-subsets of
     the covered vertices; callers check the size limit first.
+
+    Equal mask sets have equal profiles, so results are kept in a
+    process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
+    tf_poly and independence_profile of one graph count it once.
     """
     covered = sorted({v for e in hyperedges for v in e})
     bit = {v: 1 << i for i, v in enumerate(covered)}
-    c = len(covered)
+    masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
+    if 0 in masks:
+        raise ValueError("hyperedges must be nonempty")
+    return _mask_profile(masks)
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _mask_profile(masks: frozenset[int]) -> tuple[int, ...]:
+    """covered_profile of distinct nonempty masks covering bits 0..c-1."""
+    c = _union(masks).bit_count()
     w = c + 1
     rows = [(1 + (1 << w)) ** f for f in range(c + 1)]
-    hedges = list({_union(bit[v] for v in e) for e in hyperedges})
-    packed, _ = _profile_over(hedges, {}, w, rows)
+    packed, _ = _profile_over(list(masks), {}, w, rows)
     mask = (1 << w) - 1
     return tuple(packed >> (s * w) & mask for s in range(c + 1))
 

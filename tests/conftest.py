@@ -39,6 +39,7 @@ from trifree import (
     write_graph6,
 )
 from trifree.graphs import twin_classes
+from trifree.hypergraph import _mask_profile
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,13 @@ def _build_corpus() -> list[tuple[str, Graph]]:
 
 
 _CORPUS = _build_corpus()
+
+
+@pytest.fixture(autouse=True)
+def cold_profile_cache():
+    """Every test starts on an empty engine cache, so engine call counts
+    do not depend on which tests ran before."""
+    _mask_profile.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ from trifree import (
     two_extra_edge_candidates,
     write_graph6,
 )
-from trifree import exact
 from trifree.cli import main, parse_probability, resolve_graph
+from trifree.hypergraph import _mask_profile
 from trifree.verify import check_linear_bound, check_ls, check_one_extra, check_two_extra
 
 
@@ -170,25 +170,18 @@ def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
     assert err.startswith("error:") and "zero denominator" in err
 
 
-def test_phi_counts_the_covered_core_once(capsys, monkeypatch):
-    engine = exact.covered_profile
-    calls = []
-
-    def counted(copies):
-        calls.append(len(copies))
-        return engine(copies)
-
+def test_phi_counts_the_covered_core_once(capsys):
+    # tf_profile and tf_poly both ask the engine; the second is a cache hit
     g = mantel_plus_one(7)
     expected = {k: (tf_profile(g, k), tf_poly(g, k)) for k in (3, 4)}
-    monkeypatch.setattr("trifree.exact.covered_profile", counted)
     for k, (prof, poly) in expected.items():
         for fmt in ("json", "text", "csv"):
-            calls.clear()
+            _mask_profile.cache_clear()
             code, out, _ = run_cli(
                 capsys, ["phi", "--construct", "mantel+1:7", "--k", str(k),
                          "--p", "1/3", "--format", fmt])
             assert code == 0
-            assert len(calls) == 1, fmt
+            assert _mask_profile.cache_info().misses == 1, fmt
             if fmt == "json":
                 payload = json.loads(out)
                 assert payload["profile"] == [str(c) for c in prof.counts]

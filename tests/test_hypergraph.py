@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 from math import comb
-from operator import or_
 
 import pytest
 
@@ -23,11 +21,19 @@ from trifree import (
     mantel_plus_one,
     parse_hypergraph,
     random_linear_hypergraph,
+    tf_poly,
     tf_profile,
     write_hypergraph,
 )
 from trifree.errors import LimitExceededError
-from trifree.hypergraph import _count_component, _pivot, clique_edge_indices, covered_profile
+from trifree.hypergraph import (
+    PROFILE_CACHE_SIZE,
+    _count_component,
+    _mask_profile,
+    _pivot,
+    clique_edge_indices,
+    covered_profile,
+)
 
 P_GRID = tuple(Fraction(k, 10) for k in (1, 2, 5, 7, 9)) + (Fraction(1, 4), Fraction(3, 4))
 
@@ -244,9 +250,7 @@ def test_bit_sliced_pivot_matches_degree_rule():
             rng.getrandbits(width) | 1 << rng.randrange(width)
             for _ in range(rng.randint(1, 60))
         )
-        pivot, union = _pivot(masks)
-        assert pivot == degree_dict_pivot(masks)
-        assert union == reduce(or_, masks)
+        assert _pivot(masks) == degree_dict_pivot(masks)
 
 
 @pytest.mark.parametrize("k, calls", [(3, 2309), (4, 3771)])
@@ -286,6 +290,54 @@ def test_branching_tree_size_is_pinned_on_disjoint_blocks(monkeypatch, k, calls)
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
     tf_profile(disjoint_cliques(5, 5, 4), k)
     assert count == calls
+
+
+def test_empty_hyperedge_is_rejected():
+    for hedges in ([(), (0, 1)], [()]):
+        with pytest.raises(ValueError, match="nonempty"):
+            covered_profile(hedges)
+    assert _mask_profile.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_warm_cache_serves_poly_and_independence_profile(monkeypatch, k):
+    g = complete_graph(7)
+    cold_poly = tf_poly(g, k)
+    _mask_profile.cache_clear()
+    cold_hyper = independence_profile(from_graph(g, k))
+    _mask_profile.cache_clear()
+    tf_profile(g, k)
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return _count_component(*args)
+
+    monkeypatch.setattr("trifree.hypergraph._count_component", counted)
+    assert tf_poly(g, k) == cold_poly
+    assert independence_profile(from_graph(g, k)) == cold_hyper
+    assert count == 0
+
+
+def test_evicted_profiles_recount_to_the_oracle():
+    rng = random.Random(12)
+    first: list[tuple[list, tuple]] = []
+    while _mask_profile.cache_info().misses <= PROFILE_CACHE_SIZE + 100:
+        hedges = [
+            tuple(rng.sample(range(8), rng.randint(1, 4))) for _ in range(rng.randint(1, 6))
+        ]
+        profile = covered_profile(hedges)
+        if len(first) < 100:
+            first.append((hedges, profile))
+    assert _mask_profile.cache_info().currsize == PROFILE_CACHE_SIZE
+    misses = _mask_profile.cache_info().misses
+    for hedges, profile in first:
+        covered = sorted({v for e in hedges for v in e})
+        renumbered = [tuple(covered.index(v) for v in e) for e in hedges]
+        assert covered_profile(hedges) == profile
+        assert profile == brute_independence_profile(len(covered), renumbered)
+    assert _mask_profile.cache_info().misses > misses  # the oldest were evicted
 
 
 def test_text_format_roundtrip():
