@@ -106,14 +106,11 @@ def maximize_tf(n: int, i: int, p, prune: bool = False) -> SearchReport:
 
 
 def _sturm_chain(f: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of f, each member scaled by a
-    positive constant (which leaves every sign variation count unchanged)."""
-    a, b = f, f.derivative()
-    while not b.is_zero():
-        a, b = b, a.primitive_rem(b)
-    if a.degree > 0:
-        # Gauss's lemma: dividing by a primitive factor leaves integers
-        f = f.quotient(a.primitive())
+    """Sturm chain of f: f, f', then negated primitive remainders, each
+    scaled by a positive constant (leaving sign variation counts unchanged).
+    No squarefree pass: each member is g = gcd(f, f') times the matching
+    member of a Sturm sequence of f/g, so at non-roots of f (the only points
+    evaluated here) the variation counts are those of the squarefree part."""
     chain = [f, f.derivative()]
     while not chain[-1].is_zero():
         rem = chain[-2].primitive_rem(chain[-1])
@@ -126,15 +123,6 @@ def _sturm_chain(f: Poly) -> list[Poly]:
 def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     signs = [s for s in (f.sign_at(x) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(poly: Poly, lo, hi) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    if poly.degree < 1:
-        return 0
-    chain = _sturm_chain(poly)
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 @dataclass(frozen=True)
@@ -154,15 +142,17 @@ class RootInterval:
 
 def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInterval]:
     """Disjoint rational intervals of width <= tol, one per distinct root of
-    poly in the open interval (lo, hi).  Endpoints must not be roots."""
+    poly in the open interval (lo, hi), lo <= hi.  Endpoints must not be roots."""
     lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if not poly.sign_at(lo) or not poly.sign_at(hi):
         raise ValueError("interval endpoint is a root; perturb the endpoints")
-    chain = _sturm_chain(poly)
+    return _isolate(poly, _sturm_chain(poly), lo, hi, tol)
 
-    def var(x: Fraction) -> int:
-        return _sign_variations(chain, x)
 
+def _isolate(poly: Poly, chain: list[Poly], lo, hi, tol) -> list[RootInterval]:
+    """isolate_roots on poly's Sturm chain, for non-root endpoints lo <= hi."""
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
@@ -176,11 +166,11 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
         while not poly.sign_at(mid):
             # root exactly at the midpoint: nudge the cut inside the interval
             mid = (a + mid) / 2
-        vm = var(mid)
+        vm = _sign_variations(chain, mid)
         split(a, mid, va, vm)
         split(mid, b, vm, vb)
 
-    split(lo, hi, var(lo), var(hi))
+    split(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))
     out.sort(key=lambda r: r.lo)
     return out
 
@@ -227,29 +217,35 @@ def _descartes_no_root_in_unit_interval(f: Poly) -> bool:
     return all(signs) or not any(signs)
 
 
-def _interior_roots(diff: Poly, tol=Fraction(1, 10**12)) -> list[RootInterval]:
-    """Isolate every root of diff in the open interval (0, 1).
+def _interior_roots(diff: Poly) -> list[RootInterval]:
+    """Isolate every root of diff in the open interval (0, 1) to width 10^-12.
 
     Differences of probability polynomials vanish at 0 and often at 1;
-    those factors p^a (1-p)^b are divided out exactly, and a difference
-    whose reduced part has no root in (0, 1) stops after Descartes' rule
-    of signs or, when that is inconclusive, one Sturm count.
-    Bisection starts from the margins 2^-40 and 1 - 2^-40 (the crossover
-    bytes depend on them), each halved toward its end while the reduced
-    polynomial still has a root between the margin and that end.
+    those factors p^a (1-p)^b are divided out exactly, so 0 and 1 are not
+    roots of the reduced part.  With no root in (0, 1) it stops after
+    Descartes' rule of signs or, when that is inconclusive, the variation
+    counts at 0 and 1 on its one Sturm chain.  Bisection on that chain
+    starts from the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend
+    on them), each halved toward its end while a root lies between the
+    margin and that end; a multiple root at 2^-40 zeroes the whole chain
+    there, so that margin halves too.
     """
     low = next(j for j, c in enumerate(diff.coeffs) if c)
     reduced = Poly(diff.coeffs[low:])
     while not reduced.sign_at(1):
         reduced = reduced.quotient(Poly((1, -1)))
-    if _descartes_no_root_in_unit_interval(reduced) or not count_roots(reduced, 0, 1):
+    if _descartes_no_root_in_unit_interval(reduced):
+        return []
+    chain = _sturm_chain(reduced)
+    at_zero, at_one = (_sign_variations(chain, Fraction(x)) for x in (0, 1))
+    if at_zero == at_one:
         return []
     lo, hi = Fraction(1, 1 << 40), 1 - Fraction(1, 1 << 40)
-    while count_roots(reduced, 0, lo):
+    while _sign_variations(chain, lo) != at_zero:
         lo /= 2
-    while not reduced.sign_at(hi) or count_roots(reduced, hi, 1):
+    while not reduced.sign_at(hi) or _sign_variations(chain, hi) != at_one:
         hi = (hi + 1) / 2
-    return isolate_roots(reduced, lo, hi, tol)
+    return _isolate(reduced, chain, lo, hi, Fraction(1, 10**12))
 
 
 @dataclass(frozen=True)
@@ -455,7 +451,8 @@ def verify_one_extra_capped(n: int) -> CappedVerification:
     Let T = floor(n/2), so the optimum is 1 - p + p(1-p^2)^T.  A class with
     t > T triangles has probability at most 1 - p + p(1-p^2)^t, and that
     is at most the bound at T + 1, which lies strictly below the optimum on
-    (0, 1) (checked here by Sturm chains).  So the construction is the
+    (0, 1) (their difference is positive at 1/2 and, by one Sturm count,
+    has no root in (0, 1): nothing is isolated).  So the construction is the
     unique maximizer for every p once it is the only class with at most T
     triangles and its polynomial is the optimum.  The triangle-capped
     recursion lists those classes without enumerating the rest.  Limited
@@ -468,7 +465,7 @@ def verify_one_extra_capped(n: int) -> CappedVerification:
     capped = tuple(class_names(n, n * n // 4 + 1, cap))
     is_optimum = tf_poly(built) == target
     gap = target - linear_triple_bound(cap + 1)
-    below = not _interior_roots(gap, Fraction(1, 2)) and gap.eval(Fraction(1, 2)) > 0
+    below = not _interior_roots(gap) and gap.eval(Fraction(1, 2)) > 0
     passed = capped == (construction,) and is_optimum and below
     return CappedVerification(
         n, passed, cap, construction, capped, is_optimum, below

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -35,7 +36,7 @@ from trifree import (
 )
 from trifree import search
 from trifree.enumeration import class_names
-from trifree.search import _interior_roots, count_roots
+from trifree.search import _interior_roots
 
 
 def test_enumerate_single_classes():
@@ -220,6 +221,16 @@ def test_crossover_root_errors():
         crossover_root(Poly.one(), Poly.zero(), Fraction(1, 4), Fraction(3, 4))
 
 
+def test_reversed_interval_raises():
+    # a reversed interval is an error, not an endless bisection
+    f = Poly((-1, 2))
+    with pytest.raises(ValueError, match="empty interval"):
+        isolate_roots(f, 1, 0)
+    with pytest.raises(ValueError, match="empty interval"):
+        crossover_root(f, Poly.zero(), 1, 0)
+    assert isolate_roots(f, Fraction(1, 3), Fraction(1, 3)) == []
+
+
 def test_crossover_root_endpoint_and_several_roots():
     # a - b = 3p - 1 vanishes at the left endpoint 1/3: degenerate interval
     a, b = Poly((0, 3)), Poly((1,))
@@ -235,34 +246,41 @@ def test_crossover_root_endpoint_and_several_roots():
 
 def test_count_and_isolate_roots():
     cubic = Poly((1, -1, -2, 1))  # one root in (0,1)
-    assert count_roots(cubic, 0, 1) == 1
     roots = isolate_roots(cubic, Fraction(1, 100), Fraction(99, 100))
     assert len(roots) == 1
     assert Fraction(5549, 10000) < roots[0].lo < roots[0].hi < Fraction(5550, 10000)
 
     # (p - 1/4)(p - 3/4) scaled to integer coefficients: 16p^2 - 16p + 3
     quad = Poly((3, -16, 16))
-    assert count_roots(quad, 0, 1) == 2
     roots = isolate_roots(quad, Fraction(1, 1000), Fraction(999, 1000))
     assert len(roots) == 2
-    # squarefree handling: (2p-1)^2 has one distinct root
-    sq = Poly((1, -4, 4))
-    assert count_roots(sq, 0, 1) == 1
+    # repeated roots: (2p-1)^2 has one distinct root
+    (root,) = isolate_roots(Poly((1, -4, 4)), 0, 1)
+    assert root.lo < Fraction(1, 2) < root.hi
 
 
 def test_interior_roots_inside_the_bisection_margin():
     # p (1-p) (2^45 p - 1) (2^45 (1-p) - 1): roots at 0, 1, 2^-45 and
     # 1 - 2^-45; the last two lie closer to the ends than the 2^-40 margin
     tiny = Fraction(1, 1 << 45)
+    margin = Fraction(1, 1 << 40)
     p_one_minus_p = Poly((0, 1, -1))
     near_zero = Poly((-1, 1 << 45))
     near_one = Poly(((1 << 45) - 1, -(1 << 45)))
+    at_margin = Poly((-1, 1 << 40))
+    at_one_minus_margin = Poly(((1 << 40) - 1, -(1 << 40)))
+    half, third = Poly((-1, 2)), Poly((-1, 3))
+    # repeated roots give one interval per distinct root, also exactly at
+    # a margin
     for diff, want in (
         (p_one_minus_p * near_zero, [tiny]),
         (p_one_minus_p * near_one, [1 - tiny]),
         (-(p_one_minus_p * near_zero * near_one), [tiny, 1 - tiny]),
+        (at_margin**2 * half, [margin, Fraction(1, 2)]),
+        (p_one_minus_p * at_one_minus_margin**3, [1 - margin]),
+        (p_one_minus_p * half**2 * third, [Fraction(1, 3), Fraction(1, 2)]),
     ):
-        roots = _interior_roots(diff, Fraction(1, 10**12))
+        roots = _interior_roots(diff)
         assert len(roots) == len(want)
         for r, x in zip(roots, want):
             assert r.lo < x < r.hi
@@ -351,6 +369,50 @@ def test_envelope_finds_a_winner_between_grid_points(monkeypatch):
     a, b = env.crossovers
     assert a.lo < Fraction(302, 1000) < a.hi and b.lo < Fraction(304, 1000) < b.hi
     assert env.segments[1].lo < Fraction(303, 1000) < env.segments[1].hi
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND (CHANGES.md): envelope cannot report a winner whose stretch "
+    "is narrower than a 10^-12 crossing interval",
+)
+def test_envelope_reports_a_winner_narrower_than_a_crossing_interval(monkeypatch):
+    # 10^14 p - 5*10^13 beats 0 above 1/2 and 2*10^14 p - 10^14 - 2 below
+    # 1/2 + 2*10^-14, so it alone wins on (1/2, 1/2 + 2*10^-14)
+    fakes = {
+        "a": Poly.zero(),
+        "b": Poly((-5 * 10**13, 10**14)),
+        "c": Poly((-(10**14) - 2, 2 * 10**14)),
+    }
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    monkeypatch.setattr(search, "write_graph6", lambda g: g)
+    env = envelope(2, 0)
+    assert [seg.maximizers for seg in env.segments] == [("a",), ("b",), ("c",)]
+
+
+# sha256 of the envelope JSON at every (n, i), n <= 8, that has a crossover
+@pytest.mark.parametrize(
+    "n, i, digest",
+    [
+        (6, 2, "98ea024de8ab89c0e64fe65ce6eb02433d9b08f3c2928766029bf37de142bd39"),
+        (6, 3, "04c144c2b025736624904ee1ca5c4bd4a6fe36a2550d1fd223bd1a9e84b978a6"),
+        (7, 4, "2e6f8ce5c174f1914e978b65ee8b384174e3bd1aa756175244b41274744c8b72"),
+        (7, 5, "1d0fb1ff85aea111b1c97c4247cd4a8beb9327e09015ace69b9eff9effeffda0"),
+        (7, 6, "7993cd8541cc97dc485a4073777e333773630c019cbe44fd1f6665bb7e400f85"),
+        (8, 4, "2d443b709c18c6dc636aa5007c572a3a425946c6327e38a3557b1923546eeb37"),
+        (8, 5, "6c4179a9e746e2f34c031da61c3b0e4919d9b5b1afe7c747a5fbd4379496149e"),
+        (8, 6, "5955077143cad0d6f2d02639375cf4decdf201c4cc787b8d2997bbdd93337ea2"),
+        (8, 7, "b6ca32f21c74abb2800ab83df6a9efa76f756fa0dab2dc14a0f26603cd4ee945"),
+        (8, 8, "fd54bcd821f0b67d8ad8bd25ec425ca954e7207433a24fab2f4e63797d5d7931"),
+        (8, 9, "5c21ec037f32d56dd81c8d6442878738d270a7fde4c25a352791d8002c188c9a"),
+    ],
+)
+def test_envelope_crossover_bytes_pinned(n, i, digest):
+    env = envelope(n, i)
+    assert env.crossovers
+    got = json.dumps(env.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
