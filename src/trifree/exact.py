@@ -18,14 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import LimitExceededError
-from .graphs import Graph
-from .hypergraph import (
-    MAX_COVERED_VERTICES,
-    add_free_vertices,
-    clique_edge_indices,
-    covered_profile,
-)
+from .graphs import Graph, clique_edge_indices
+from .hypergraph import add_free_vertices, covered_profile
 from .polynomial import Poly
 
 
@@ -36,18 +30,6 @@ class TfProfile:
     m: int
     counts: tuple[int, ...] = field(repr=False)
     clique_order: int = 3
-
-
-def _covered_core(g: Graph, clique_order: int) -> tuple[int, ...]:
-    """K_k-free subset counts by size over the edges lying in some K_k copy."""
-    copies = clique_edge_indices(g, clique_order)
-    c = len({e for idx in copies for e in idx})
-    if c > MAX_COVERED_VERTICES:
-        raise LimitExceededError(
-            f"{c} covered edges exceeds the exact limit {MAX_COVERED_VERTICES}; "
-            "use Monte Carlo estimation instead"
-        )
-    return covered_profile(copies)
 
 
 def _core_poly(core: tuple[int, ...]) -> Poly:
@@ -67,7 +49,7 @@ def _core_poly(core: tuple[int, ...]) -> Poly:
 
 def tf_profile(g: Graph, clique_order: int = 3) -> TfProfile:
     """Exact counts of K_k-free edge subsets by size."""
-    core = _covered_core(g, clique_order)
+    core = covered_profile(clique_edge_indices(g, clique_order))
     return TfProfile(g.m, add_free_vertices(core, g.m), clique_order)
 
 
@@ -78,7 +60,7 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     Equals sum_s tf(g, s) p^s (1-p)^(m-s); edges outside every copy cancel
     (p + (1-p) = 1), so the degree is at most the covered-edge count.
     """
-    return _core_poly(_covered_core(g, clique_order))
+    return _core_poly(covered_profile(clique_edge_indices(g, clique_order)))
 
 
 def poly_eval(poly: Poly, p) -> Fraction:

@@ -70,6 +70,10 @@ class IndependenceProfile:
     vertex_count: int
     counts: tuple[int, ...] = field(repr=False)
 
+    def __post_init__(self):
+        if self.vertex_count < 0 or len(self.counts) > self.vertex_count + 1:
+            raise ValueError(f"{len(self.counts)} counts for {self.vertex_count} vertices")
+
     def probability(self, p) -> Fraction:
         """Exact probability that a Bernoulli(p) vertex subset is independent."""
         p = Fraction(p)
@@ -269,13 +273,20 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count
     exceeds 2^c, so sums and products never carry between slots, and
     convolution is one multiplication.  Entry s counts the s-subsets of
-    the covered vertices; callers check the size limit first.
+    the covered vertices; more than MAX_COVERED_VERTICES of them raise
+    LimitExceededError, before the cache is consulted.
 
     Equal mask sets have equal profiles, so results are kept in a
     process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
     tf_poly and independence_profile of one graph count it once.
     """
     covered = sorted({v for e in hyperedges for v in e})
+    if len(covered) > MAX_COVERED_VERTICES:
+        raise LimitExceededError(
+            f"{len(covered)} covered vertices (for a graph: its edges in some "
+            f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
+            "use Monte Carlo estimation instead"
+        )
     bit = {v: 1 << i for i, v in enumerate(covered)}
     masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
     if 0 in masks:
@@ -304,15 +315,8 @@ def add_free_vertices(core, vertex_count: int) -> tuple[int, ...]:
 def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:
     """Exact counts of independent vertex subsets by size.
 
-    Vertices in no hyperedge are factored out as a binomial convolution;
-    the covered part is limited to MAX_COVERED_VERTICES vertices.
+    Vertices in no hyperedge are factored out as a binomial convolution.
     """
-    covered = h.covered_vertices()
-    if len(covered) > MAX_COVERED_VERTICES:
-        raise LimitExceededError(
-            f"{len(covered)} covered vertices exceeds the exact limit "
-            f"{MAX_COVERED_VERTICES}"
-        )
     core = covered_profile(h.hyperedges)
     return IndependenceProfile(h.vertex_count, add_free_vertices(core, h.vertex_count))
 

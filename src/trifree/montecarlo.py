@@ -28,8 +28,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .graphs import Graph
-from .hypergraph import clique_edge_indices
+from .graphs import Graph, clique_edge_indices
 
 LANE_SIZE = 1 << 14
 Z95 = 1.959963984540054  # normal quantile at 0.975

@@ -68,3 +68,10 @@ def test_probability_rejects_p_outside_the_unit_interval(profile, a, b):
     for p in (Fraction(-a, b), 1 + Fraction(a, b)):
         with pytest.raises(ValueError):
             profile.probability(p)
+
+
+def test_profile_rejects_impossible_shapes():
+    # a negative power would turn the integer sum into a float
+    for v, counts in ((1, (1, 2, 3)), (-1, ())):
+        with pytest.raises(ValueError):
+            IndependenceProfile(v, counts)

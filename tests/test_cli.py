@@ -196,9 +196,11 @@ def test_bipartite_construct_needs_two_sizes(capsys):
 
 
 def test_limit_exceeded_exit_3(capsys):
-    code, _, err = run_cli(capsys, ["phi", "--construct", "complete:9"])
-    assert code == 3
-    assert "Monte Carlo" in err
+    for graph, count in (("complete:9", "36 covered"), ("mantel+1:30", "31 covered")):
+        code, out, err = run_cli(capsys, ["phi", "--construct", graph])
+        assert code == 3, graph
+        assert out == ""
+        assert count in err and "Monte Carlo" in err, graph
     # the enumeration limit is the one size limit of the exhaustive routes
     for argv in (["verify", "--one-extra", "9"],
                  ["search", "--n", "9", "--i", "1", "--p", "1/2"]):

@@ -26,8 +26,9 @@ from trifree import (
     triangle_count,
     two_extra_edge_candidates,
 )
-from trifree.exact import _core_poly, _covered_core
-from trifree.hypergraph import covered_profile
+from trifree.exact import _core_poly
+from trifree.graphs import clique_edge_indices
+from trifree.hypergraph import _mask_profile, covered_profile
 
 P_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -115,7 +116,7 @@ def test_core_poly_integer_pass_matches_poly_sum():
     for m in range(comb(7, 2) + 1):
         for g in enumerate_graphs(7, m):
             for k in (3, 4):
-                core = _covered_core(g, k)
+                core = covered_profile(clique_edge_indices(g, k))
                 assert _core_poly(core) == poly_sum_bernstein(core), (m, k)
     # c = 30: ten disjoint triangles (no count above size 20), and 31
     # nonzero counts of up to 2^30
@@ -209,13 +210,25 @@ def test_covered_edge_limit_boundary():
     assert tf_profile(at_limit).counts == want
     assert independence_profile(from_graph(at_limit)).counts == want
     assert tf_poly(at_limit) == Poly((1, 0, 0, -1)) ** 10
-    # mantel+1:30: 15 triangles on the extra edge, 1 + 2*15 = 31 covered edges
+    # mantel+1:30: 15 triangles on the extra edge, 1 + 2*15 = 31 covered
+    # edges; every front door reaches the one check in the engine, which
+    # runs before the cache is consulted
     over = mantel_plus_one(30)
-    for count in (tf_profile, tf_poly):
-        with pytest.raises(LimitExceededError, match="31 covered edges"):
-            count(over)
-    with pytest.raises(LimitExceededError, match="31 covered vertices"):
-        independence_profile(from_graph(over))
+    routes = (
+        lambda: tf_profile(over),
+        lambda: tf_poly(over),
+        lambda: independence_profile(from_graph(over)),
+        lambda: covered_profile(clique_edge_indices(over, 3)),
+    )
+    cached = _mask_profile.cache_info().currsize
+    messages = set()
+    for route in routes:
+        with pytest.raises(LimitExceededError, match="^31 covered vertices") as err:
+            route()
+        messages.add(str(err.value))
+        assert _mask_profile.cache_info().currsize == cached
+    assert len(messages) == 1
+    assert "Monte Carlo" in messages.pop()
 
 
 def test_profile_clique_order_beyond_any_copy():

@@ -14,7 +14,7 @@ from trifree import (
     one_extra_edge_optimum,
     sample_subgraph,
 )
-from trifree.hypergraph import clique_edge_indices
+from trifree.graphs import clique_edge_indices
 from trifree.montecarlo import LANE_SIZE, keep_threshold, wilson_interval
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trifree import Poly, isolate_roots  # noqa: E402
-from trifree.search import _descartes_no_root_in_unit_interval  # noqa: E402
+from trifree.search import _unit_shift  # noqa: E402
 
 # derandomized: the same examples on every run, no example database on disk
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -73,5 +73,9 @@ def test_isolate_roots_encloses_each_sympy_root_once(f, interval):
 @PROPERTY
 @given(integer_polys())
 def test_descartes_test_never_hides_a_unit_interval_root(f):
-    if _descartes_no_root_in_unit_interval(f):
+    shift = _unit_shift(f)
+    # leading zeros of the shift: the multiplicity of the root at p = 1
+    assert next(j for j, c in enumerate(shift) if c) == sympy.roots(as_sympy(f)).get(1, 0)
+    signs = [c > 0 for c in shift if c]
+    if all(signs) or not any(signs):
         assert as_sympy(f).count_roots(0, 1) == (f[0] == 0) + (f.sign_at(1) == 0)
