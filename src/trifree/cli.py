@@ -148,8 +148,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.capped and (args.one_extra is None or args.prune):
-        raise ValueError("--capped needs --one-extra N and excludes --prune")
+    if args.capped and args.one_extra is None:
+        raise ValueError("--capped needs --one-extra N")
     checks = []
     ran_any = False
     if args.all or args.one_extra is not None:
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
                 checks.extend(verify.check_one_extra_capped(n))
             else:
                 print(f"verifying optimum at one extra edge, n={n} ...", file=sys.stderr)
-                checks.extend(verify.check_one_extra(n, prune=args.prune))
+                checks.extend(verify.check_one_extra(n))
         ran_any = True
     if args.all or args.ls is not None:
         pairs = [tuple(args.ls)] if args.ls is not None else [
@@ -296,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--two-extra", action="store_true",
                           help="crossover analysis of the n=6 candidates")
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--prune", action="store_true",
-                          help="use the certified bound to skip classes")
     p_verify.add_argument("--capped", action="store_true",
                           help="with --one-extra N: prove the optimum for every p "
                           "from the classes with at most floor(N/2) triangles")

