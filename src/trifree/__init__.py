@@ -4,10 +4,8 @@ bipartite edge threshold."""
 
 from .bounds import (
     CheckReport,
-    EdgeBudget,
     LsBound,
     linear_triple_bound,
-    low_order_coefficient_check,
     ls_min_triangles,
     mantel_max_edges,
     one_extra_edge_optimum,
@@ -15,20 +13,17 @@ from .bounds import (
 )
 from .enumeration import enumerate_graphs
 from .errors import LimitExceededError
-from .exact import TfProfile, poly_eval, tf_poly, tf_profile
+from .exact import poly_eval, tf_poly, tf_profile
 from .graphs import (
     Graph,
-    Triangle,
     build_graph,
     canonical_form,
-    canonical_graph,
     complete_bipartite,
     complete_graph,
     mantel_plus_one,
     parse_edge_list,
     parse_graph6,
     triangle_count,
-    triangles,
     two_extra_edge_candidates,
     write_graph6,
 )
@@ -40,11 +35,9 @@ from .hypergraph import (
     independence_probability,
     independence_profile,
     is_linear,
-    parse_hypergraph,
     random_linear_hypergraph,
-    write_hypergraph,
 )
-from .montecarlo import Estimate, estimate_tf, lane_generator, sample_subgraph
+from .montecarlo import Estimate, estimate_tf, lane_generator
 from .polynomial import Poly
 from .search import (
     EnvelopeReport,
@@ -64,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "CliqueHypergraph",
-    "EdgeBudget",
     "Estimate",
     "EnvelopeReport",
     "Graph",
@@ -74,11 +66,8 @@ __all__ = [
     "Poly",
     "RootInterval",
     "SearchReport",
-    "TfProfile",
-    "Triangle",
     "build_graph",
     "canonical_form",
-    "canonical_graph",
     "complete_bipartite",
     "complete_graph",
     "crossover_root",
@@ -94,7 +83,6 @@ __all__ = [
     "isolate_roots",
     "lane_generator",
     "linear_triple_bound",
-    "low_order_coefficient_check",
     "ls_min_triangles",
     "mantel_max_edges",
     "mantel_plus_one",
@@ -102,18 +90,14 @@ __all__ = [
     "one_extra_edge_optimum",
     "parse_edge_list",
     "parse_graph6",
-    "parse_hypergraph",
     "poly_eval",
     "random_linear_hypergraph",
-    "sample_subgraph",
     "tf_poly",
     "tf_profile",
     "tf_upper_bound",
     "triangle_count",
-    "triangles",
     "two_extra_edge_candidates",
     "verify_one_extra_capped",
     "verify_one_extra_optimum",
     "write_graph6",
-    "write_hypergraph",
 ]

@@ -11,31 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .exact import tf_poly, tf_profile
 from .graphs import Graph, triangle_count
 from .polynomial import Poly
-
-
-@dataclass(frozen=True)
-class EdgeBudget:
-    """n vertices and floor(n^2/4) + i edges (surplus i >= 1)."""
-
-    n: int
-    i: int
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("surplus must be at least 1")
-        if self.m > comb(self.n, 2):
-            raise ValueError(
-                f"floor({self.n}^2/4) + {self.i} exceeds C({self.n},2) edges"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.n * self.n // 4 + self.i
 
 
 @dataclass(frozen=True)
@@ -122,42 +100,3 @@ class CheckReport:
             "witness": self.witness,
             "pass": self.passed,
         }
-
-
-def low_order_coefficient_check(g: Graph) -> list[CheckReport]:
-    """Check the forced low-order structure of the profile and polynomial.
-
-    tf(g, 3) must be C(m, 3) - t(g) (each triangle kills exactly one
-    3-subset), and the polynomial must open as 1 + 0*p + 0*p^2 - t(g)*p^3.
-    """
-    t = triangle_count(g)
-    m = g.m
-    reports = []
-
-    prof = tf_profile(g)
-    tf3 = prof.counts[3] if m >= 3 else 0
-    expected = comb(m, 3) - t
-    reports.append(
-        CheckReport(
-            claim="three-edge subsets avoiding a triangle",
-            lhs=str(tf3),
-            rhs=f"C({m},3) - t = {expected}",
-            relation="==",
-            witness=f"m={m}, t={t}",
-            passed=tf3 == expected,
-        )
-    )
-
-    poly = tf_poly(g)
-    anchors = (poly[0], poly[1], poly[2], poly[3])
-    reports.append(
-        CheckReport(
-            claim="polynomial opens as 1 - t*p^3",
-            lhs=str(anchors),
-            rhs=f"(1, 0, 0, {-t})",
-            relation="==",
-            witness=poly.to_text(),
-            passed=anchors == (1, 0, 0, -t),
-        )
-    )
-    return reports

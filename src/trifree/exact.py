@@ -15,21 +15,11 @@ the count profile by a binomial row and leaves the polynomial untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph, clique_edge_indices
-from .hypergraph import add_free_vertices, covered_profile
+from .hypergraph import IndependenceProfile, add_free_vertices, covered_profile
 from .polynomial import Poly
-
-
-@dataclass(frozen=True)
-class TfProfile:
-    """counts[s] = number of K_k-free edge subsets of size s (exact ints)."""
-
-    m: int
-    counts: tuple[int, ...] = field(repr=False)
-    clique_order: int = 3
 
 
 def _core_poly(core: tuple[int, ...]) -> Poly:
@@ -47,10 +37,11 @@ def _core_poly(core: tuple[int, ...]) -> Poly:
     return Poly(out)
 
 
-def tf_profile(g: Graph, clique_order: int = 3) -> TfProfile:
-    """Exact counts of K_k-free edge subsets by size."""
+def tf_profile(g: Graph, clique_order: int = 3) -> IndependenceProfile:
+    """Exact counts of K_k-free edge subsets by size: the independence
+    profile of the clique hypergraph on the m edges of g."""
     core = covered_profile(clique_edge_indices(g, clique_order))
-    return TfProfile(g.m, add_free_vertices(core, g.m), clique_order)
+    return IndependenceProfile(g.m, add_free_vertices(core, g.m))
 
 
 def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
@@ -69,4 +60,3 @@ def poly_eval(poly: Poly, p) -> Fraction:
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return poly.eval(p)
-

@@ -9,7 +9,6 @@ subset bitmasks, profiles) relies on this one convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LimitExceededError
@@ -78,10 +77,6 @@ class Graph:
     def with_edge(self, u: int, v: int) -> "Graph":
         return Graph(self.n, self.edges + ((u, v),))
 
-    def subgraph_keeping(self, edge_flags) -> "Graph":
-        """Graph on the same vertices keeping edge i iff edge_flags[i]."""
-        return Graph(self.n, [e for e, keep in zip(self.edges, edge_flags) if keep])
-
     def permuted(self, perm) -> "Graph":
         """Relabel: vertex v becomes perm[v]."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
@@ -94,14 +89,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """A triangle u < v < w with the lexicographic indices of its edges."""
-
-    vertices: tuple[int, int, int]
-    edge_indices: tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +150,6 @@ def two_extra_edge_candidates() -> tuple[Graph, Graph, Graph]:
 # ---------------------------------------------------------------------------
 
 
-def triangles(g: Graph) -> list[Triangle]:
-    """All triangles, ordered by vertex triple."""
-    return [
-        Triangle(members, edges)
-        for members, edges in zip(cliques(g, 3), clique_edge_indices(g, 3))
-    ]
-
-
 def triangle_count(g: Graph) -> int:
     total = 0
     for u, v in g.edges:
@@ -182,8 +161,6 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """Vertex sets of all K_k copies, each sorted, in lexicographic order."""
     if k < 1:
         raise ValueError("clique order must be positive")
-    if k == 1:
-        return [(v,) for v in range(g.n)]
     out: list[tuple[int, ...]] = []
 
     def extend(members: list[int], candidates: int):
@@ -307,11 +284,6 @@ def canonical_form(g: Graph) -> bytes:
             f"canonical form supports n <= {MAX_CANONICAL_N}, got n={g.n}"
         )
     return _graph6_encode(g.n, _min_colex_search(g)).encode("ascii")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of g."""
-    return parse_graph6(canonical_form(g).decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,6 @@ def random_linear_hypergraph(
             )
         attempts += 1
         triple = frozenset(rng.sample(range(vertices), 3))
-        if triple in accepted:
-            continue
         if any(len(triple & prev) > 1 for prev in accepted):
             continue
         accepted.append(triple)
@@ -324,29 +322,3 @@ def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:
 def independence_probability(h: CliqueHypergraph, p) -> Fraction:
     """Exact probability that a Bernoulli(p) vertex subset is independent."""
     return independence_profile(h).probability(p)
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-
-def write_hypergraph(h: CliqueHypergraph) -> str:
-    """Text form: first line "v r", then one hyperedge per line."""
-    lines = [f"{h.vertex_count} {h.edge_count}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.hyperedges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_hypergraph(text: str, clique_order: int = 3) -> CliqueHypergraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty hypergraph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header 'v r', got {lines[0]!r}")
-    v, r = int(head[0]), int(head[1])
-    if len(lines) - 1 != r:
-        raise ValueError(f"header promises {r} hyperedges, found {len(lines) - 1}")
-    hedges = tuple(tuple(int(x) for x in ln.split()) for ln in lines[1:])
-    return CliqueHypergraph(v, hedges, clique_order)

@@ -41,15 +41,6 @@ def lane_generator(seed: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_subgraph(g: Graph, p, rng: np.random.Generator) -> Graph:
-    """Keep each edge independently with probability p using rng."""
-    p = float(p)
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    keep = rng.random(g.m) < p
-    return g.subgraph_keeping(keep)
-
-
 def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if samples < 1:

@@ -220,7 +220,3 @@ class Poly:
     def to_json_dict(self) -> dict:
         """JSON form with decimal-string coefficients (safe for big ints)."""
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Poly":
-        return cls(tuple(int(s) for s in d["coeffs"]))

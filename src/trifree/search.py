@@ -176,12 +176,14 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
 def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInterval:
     """Enclose a root of a - b where it changes sign on [lo, hi].
 
-    A root at an endpoint gives the degenerate interval there; no sign
-    change raises ValueError.  Otherwise this is the first interval of
-    isolate_roots(a - b, lo, hi, tol): with several roots inside, the
-    leftmost one (a root of even multiplicity included).
+    lo > hi raises ValueError.  A root at an endpoint gives the degenerate
+    interval there; no sign change raises ValueError.  Otherwise this is
+    the first interval of isolate_roots(a - b, lo, hi, tol): with several
+    roots inside, the leftmost one (a root of even multiplicity included).
     """
     lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     diff = a - b
     flo = diff.eval(lo)
     fhi = diff.eval(hi)

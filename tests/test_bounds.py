@@ -4,11 +4,9 @@ import pytest
 
 from conftest import brute_tf_profile, octahedron
 from trifree import (
-    EdgeBudget,
     Poly,
     complete_graph,
     linear_triple_bound,
-    low_order_coefficient_check,
     ls_min_triangles,
     mantel_max_edges,
     mantel_plus_one,
@@ -51,15 +49,6 @@ def test_ls_boundary_counterexample():
     g = octahedron()
     assert g.m == mantel_max_edges(6) + 3
     assert triangle_count(g) == 8 < ls_min_triangles(6, 3).count
-
-
-def test_edge_budget():
-    b = EdgeBudget(6, 2)
-    assert b.m == 11
-    with pytest.raises(ValueError):
-        EdgeBudget(6, 0)
-    with pytest.raises(ValueError):
-        EdgeBudget(4, 3)  # 4 + 3 > C(4,2)
 
 
 def test_one_extra_edge_optimum_closed_forms():
@@ -126,11 +115,3 @@ def test_tf_upper_bound_on_corpus(corpus):
 def test_tf_upper_bound_validation():
     with pytest.raises(ValueError):
         tf_upper_bound(complete_graph(3), 2)
-
-
-def test_low_order_coefficient_check(corpus):
-    for name, g in corpus:
-        reports = low_order_coefficient_check(g)
-        assert all(r.passed for r in reports), name
-        payload = reports[0].to_json()
-        assert set(payload) == {"claim", "lhs", "rhs", "relation", "witness", "pass"}

@@ -25,6 +25,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def test_package_exports_resolve():
+    import trifree
+
+    assert len(set(trifree.__all__)) == len(trifree.__all__)
+    namespace = {}
+    exec("from trifree import *", namespace)  # AttributeError on a missing name
+    assert set(trifree.__all__) <= namespace.keys()
+
+
 def test_parse_probability():
     assert parse_probability("1/2") == (Fraction(1, 2), False)
     assert parse_probability("0.3") == (Fraction(3, 10), True)

@@ -142,7 +142,7 @@ def test_covered_edge_factoring():
     base = mantel_plus_one(6)
     extended = build_graph(8, list(base.edges) + [(6, 7)])
     assert tf_poly(extended) == tf_poly(base)
-    assert tf_profile(extended).m == base.m + 1
+    assert tf_profile(extended).vertex_count == base.m + 1
 
     path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert tf_poly(path) == Poly.one()

@@ -19,11 +19,9 @@ from trifree import (
     is_linear,
     linear_triple_bound,
     mantel_plus_one,
-    parse_hypergraph,
     random_linear_hypergraph,
     tf_poly,
     tf_profile,
-    write_hypergraph,
 )
 from trifree.errors import LimitExceededError
 from trifree.hypergraph import (
@@ -338,14 +336,3 @@ def test_evicted_profiles_recount_to_the_oracle():
         assert covered_profile(hedges) == profile
         assert profile == brute_independence_profile(len(covered), renumbered)
     assert _mask_profile.cache_info().misses > misses  # the oldest were evicted
-
-
-def test_text_format_roundtrip():
-    h = random_linear_hypergraph(10, 4, seed=8)
-    text = write_hypergraph(h)
-    assert text.splitlines()[0] == "10 4"
-    assert parse_hypergraph(text) == h
-    with pytest.raises(ValueError):
-        parse_hypergraph("")
-    with pytest.raises(ValueError):
-        parse_hypergraph("3 2\n0 1 2\n")

@@ -12,7 +12,6 @@ from trifree import (
     lane_generator,
     mantel_plus_one,
     one_extra_edge_optimum,
-    sample_subgraph,
 )
 from trifree.graphs import clique_edge_indices
 from trifree.montecarlo import LANE_SIZE, keep_threshold, wilson_interval
@@ -30,28 +29,6 @@ def test_lane_generator_pinned_vectors():
     ]
     got = lane_generator(7, 0).random(3).tolist()
     assert got == [0.8720734548204873, 0.29536538151378355, 0.4200976785072422]
-
-
-def test_sample_subgraph_determinism():
-    g = complete_graph(4)
-    runs = []
-    for _ in range(2):
-        rng = lane_generator(123, 0)
-        runs.append([sample_subgraph(g, 0.5, rng).edges for _ in range(50)])
-    assert runs[0] == runs[1]
-
-
-def test_sample_subgraph_extreme_p():
-    g = complete_graph(4)
-    rng = lane_generator(5, 0)
-    tiny = 2.0**-30
-    edgeless = sum(1 for _ in range(1000) if sample_subgraph(g, tiny, rng).m == 0)
-    assert edgeless >= 999
-    rng = lane_generator(5, 1)
-    full = sum(1 for _ in range(1000) if sample_subgraph(g, 1 - tiny, rng).m == g.m)
-    assert full >= 999
-    with pytest.raises(ValueError):
-        sample_subgraph(g, 0.0, rng)
 
 
 def test_wilson_interval_shape():

@@ -228,6 +228,9 @@ def test_reversed_interval_raises():
         isolate_roots(f, 1, 0)
     with pytest.raises(ValueError, match="empty interval"):
         crossover_root(f, Poly.zero(), 1, 0)
+    # 3p - 1 vanishes at the endpoint 1/3: reversed is still empty
+    with pytest.raises(ValueError, match="empty interval"):
+        crossover_root(Poly((0, 3)), Poly((1,)), Fraction(1, 3), 0)
     assert isolate_roots(f, Fraction(1, 3), Fraction(1, 3)) == []
 
 
