@@ -65,35 +65,27 @@ def resolve_graph(source: str) -> graphs.Graph:
 
 
 def _graph_from_args(args) -> graphs.Graph:
-    sources = [
-        args.graph is not None,
-        args.construct is not None,
-        args.graph_file is not None,
-        bool(args.stdin),
-    ]
+    sources = [args.graph is not None, args.graph_file is not None, bool(args.stdin)]
     if sum(sources) != 1:
         raise ValueError(
-            "exactly one graph source required: --graph, --construct, "
-            "--graph-file or --stdin"
+            "exactly one graph source required: --graph, --graph-file or --stdin"
         )
     if args.graph is not None:
         return resolve_graph(args.graph)
-    if args.construct is not None:
-        return resolve_graph(args.construct)
     if args.stdin:
         return graphs.parse_graph6(sys.stdin.read())
     with open(args.graph_file) as fh:
         text = fh.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    parts = first.split()
+    # a graph6 line never starts with '#', an edge-list comment always does
+    lines = (ln.strip() for ln in text.splitlines())
+    parts = next((ln for ln in lines if ln and not ln.startswith("#")), "").split()
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
         return graphs.parse_edge_list(text)
     return graphs.parse_graph6(text)
 
 
 def _add_graph_args(sub: argparse.ArgumentParser):
-    sub.add_argument("--graph", help="graph6 string or named constructor")
-    sub.add_argument("--construct", help="named constructor, e.g. mantel+1:6, K:3,3")
+    sub.add_argument("--graph", help="graph6 or a constructor, e.g. mantel+1:6, K:3,3")
     sub.add_argument("--graph-file", help="file with graph6 or 'u v' edge lines")
     sub.add_argument("--stdin", action="store_true", help="read graph6 from stdin")
 
@@ -261,9 +253,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    written = search.export_classes_csv(
-        args.n, args.m, args.out, checkpoint_path=args.checkpoint
-    )
+    written = search.export_classes_csv(args.n, args.m, args.out)
     print(f"wrote {written} class rows to {args.out}", file=sys.stderr)
     print(json.dumps({"n": args.n, "m": args.m, "written": written, "path": args.out}))
     return EXIT_OK
@@ -331,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--n", type=int, required=True)
     p_cls.add_argument("--m", type=int, required=True)
     p_cls.add_argument("--out", required=True)
-    p_cls.add_argument("--checkpoint", help="resume file holding 'n m next_rank'")
     p_cls.set_defaults(func=cmd_classes)
 
     return parser

@@ -7,8 +7,6 @@ the extremal-graph verifiers and the per-class CSV export.
 
 from __future__ import annotations
 
-import csv
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -427,17 +425,6 @@ class CappedVerification:
     construction_is_optimum: bool
     bound_below_optimum: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pass": self.passed,
-            "triangle_cap": self.triangle_cap,
-            "construction": self.construction,
-            "capped_classes": list(self.capped_classes),
-            "construction_is_optimum": self.construction_is_optimum,
-            "bound_below_optimum": self.bound_below_optimum,
-        }
-
 
 def verify_one_extra_capped(n: int) -> CappedVerification:
     """Prove the optimum one edge above the threshold for every p in (0, 1).
@@ -467,62 +454,43 @@ def verify_one_extra_capped(n: int) -> CappedVerification:
 
 
 # ---------------------------------------------------------------------------
-# per-class CSV export with resume support
+# per-class CSV export, resumed from its own rows
 # ---------------------------------------------------------------------------
 
-
-def _keep_rows(path: Path, rows: int) -> int:
-    """Cut a CSV export after its header and at most `rows` data rows;
-    returns the data rows kept."""
-    with open(path, "r+b") as fh:
-        lines = fh.readlines()
-        keep = max(0, min(rows, len(lines) - 1))
-        fh.truncate(sum(len(line) for line in lines[: keep + 1]))
-    return keep
+_CSV_HEADER = b"graph6,triangles,coeffs\r\n"
 
 
-def export_classes_csv(
-    n: int, m: int, path: str | Path, checkpoint_path: str | Path | None = None
-) -> int:
+def export_classes_csv(n: int, m: int, path: str | Path) -> int:
     """Stream one CSV row (graph6, triangles, coefficients) per class.
 
-    The checkpoint file holds a single line "n m next_rank", where
-    next_rank is the index of the next class in the deterministic
-    enumeration order; an existing matching checkpoint resumes the export,
-    appending only the remaining rows.  Each row is flushed before the
-    checkpoint is replaced (atomically) to count it, and a resume first
-    cuts the CSV back to the rows the checkpoint counts, so an export
+    The CSV is its own checkpoint.  An existing regular file at `path`
+    keeps its header and the complete rows whose graph6 names match the
+    deterministic enumeration order, is cut after them, and gets only the
+    remaining rows; each row is flushed as it is written, so an export
     killed at any point resumes to the same bytes as an uninterrupted one.
-    Returns the number of rows written by this call.
+    Any other file at `path` is written from the start.  Returns the
+    number of rows written by this call.
     """
     path = Path(path)
     reps = enumerate_graphs(n, m)
-    start = 0
-    if checkpoint_path is not None:
-        checkpoint_path = Path(checkpoint_path)
-        if checkpoint_path.exists() and path.exists():
-            fields = checkpoint_path.read_text().split()
-            if len(fields) == 3 and int(fields[0]) == n and int(fields[1]) == m:
-                start = _keep_rows(path, int(fields[2]))
-    written = 0
-    with open(path, "a" if start > 0 else "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if start == 0:
-            writer.writerow(["graph6", "triangles", "coeffs"])
-        for rank in range(start, len(reps)):
-            g = reps[rank]
-            poly = tf_poly(g)
-            writer.writerow(
-                [
-                    write_graph6(g),
-                    triangle_count(g),
-                    " ".join(str(c) for c in poly.coeffs),
-                ]
-            )
-            written += 1
-            if checkpoint_path is not None:
-                fh.flush()
-                staged = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
-                staged.write_text(f"{n} {m} {rank + 1}\n")
-                os.replace(staged, checkpoint_path)
-    return written
+    names = [write_graph6(g).encode() for g in reps]
+    start = kept = 0
+    if path.is_file():
+        with open(path, "r+b") as fh:
+            lines = fh.readlines()
+            if lines[:1] == [_CSV_HEADER]:
+                kept = len(_CSV_HEADER)
+                for line, name in zip(lines[1:], names):
+                    if not (line.endswith(b"\n") and line.startswith(name + b",")):
+                        break
+                    kept += len(line)
+                    start += 1
+            fh.truncate(kept)
+    with open(path, "ab" if kept else "wb") as fh:
+        if not kept:
+            fh.write(_CSV_HEADER)
+        for g, name in zip(reps[start:], names[start:]):
+            coeffs = " ".join(str(c) for c in tf_poly(g).coeffs)
+            fh.write(name + f",{triangle_count(g)},{coeffs}\r\n".encode())
+            fh.flush()
+    return len(reps) - start

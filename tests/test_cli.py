@@ -1,11 +1,15 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import trifree
 from trifree import (
     canonical_form,
     mantel_plus_one,
@@ -15,6 +19,7 @@ from trifree import (
     write_graph6,
 )
 from trifree.cli import main, parse_probability, resolve_graph
+from trifree.enumeration import class_names
 from trifree.hypergraph import _mask_profile
 from trifree.verify import check_linear_bound, check_ls, check_one_extra, check_two_extra
 
@@ -51,7 +56,7 @@ def test_parse_probability():
 @pytest.mark.parametrize("command", ["phi", "mc"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1/2.5"])
 def test_unparsable_probability_exit_2(capsys, command, bad):
-    code, out, err = run_cli(capsys, [command, "--construct", "K:3,3", "--p", bad])
+    code, out, err = run_cli(capsys, [command, "--graph", "K:3,3", "--p", bad])
     assert code == 2
     assert out == ""
     assert err == f"error: cannot parse probability '{bad}'\n"
@@ -70,7 +75,7 @@ def test_resolve_graph_constructors():
 
 def test_phi_command_json(capsys):
     code, out, _ = run_cli(
-        capsys, ["phi", "--construct", "mantel+1:6", "--p", "1/2"]
+        capsys, ["phi", "--graph", "mantel+1:6", "--p", "1/2"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -90,7 +95,7 @@ def test_phi_command_named_candidate(capsys):
 
 
 def test_phi_command_bipartite_value_one(capsys):
-    code, out, _ = run_cli(capsys, ["phi", "--construct", "K:3,3", "--p", "1/2"])
+    code, out, _ = run_cli(capsys, ["phi", "--graph", "K:3,3", "--p", "1/2"])
     assert code == 0
     assert json.loads(out)["value"] == "1"
 
@@ -102,14 +107,14 @@ def test_phi_decimal_p_flagged(capsys):
 
 
 def test_phi_clique_order_flag(capsys):
-    code, out, _ = run_cli(capsys, ["phi", "--construct", "complete:4", "--k", "4"])
+    code, out, _ = run_cli(capsys, ["phi", "--graph", "complete:4", "--k", "4"])
     assert code == 0
     assert json.loads(out)["polynomial_text"] == "1 - p^6"
 
 
 def test_phi_text_format(capsys):
     code, out, _ = run_cli(
-        capsys, ["phi", "--construct", "complete:4", "--p", "1/2", "--format", "text"]
+        capsys, ["phi", "--graph", "complete:4", "--p", "1/2", "--format", "text"]
     )
     assert code == 0
     assert "41/64" in out
@@ -126,10 +131,12 @@ def test_phi_stdin(capsys, monkeypatch):
 
 def test_phi_graph_file_edge_list(capsys, tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("0 1\n0 2\n1 2\n")
-    code, out, _ = run_cli(capsys, ["phi", "--graph-file", str(path)])
-    assert code == 0
-    assert json.loads(out)["polynomial_text"] == "1 - p^3"
+    # the format is sniffed from the first line that is not blank or a comment
+    for text in ("0 1\n0 2\n1 2\n", "# triangle\n0 1\n1 2\n0 2\n"):
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, ["phi", "--graph-file", str(path)])
+        assert code == 0, text
+        assert json.loads(out)["polynomial_text"] == "1 - p^3"
 
 
 def test_phi_graph_file_graph6(capsys, tmp_path):
@@ -156,8 +163,12 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, ["phi"])
     assert code == 2
     assert "graph source" in err
-    code, _, _ = run_cli(capsys, ["phi", "--graph", "Bw", "--construct", "K:2,2"])
+    code, _, _ = run_cli(capsys, ["phi", "--graph", "Bw", "--stdin"])
     assert code == 2
+    # --graph takes the named constructors; there is no second flag for them
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "--construct", "K:3,3"])
+    assert exc.value.code == 2
     code, _, _ = run_cli(capsys, ["verify"])
     assert code == 2
 
@@ -173,7 +184,7 @@ def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
         raise AssertionError("exact counting ran before --p was parsed")
 
     monkeypatch.setattr("trifree.exact.covered_profile", no_counting)
-    code, out, err = run_cli(capsys, ["phi", "--construct", "K:3,3", "--p", "1/0"])
+    code, out, err = run_cli(capsys, ["phi", "--graph", "K:3,3", "--p", "1/0"])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "zero denominator" in err
@@ -187,7 +198,7 @@ def test_phi_counts_the_covered_core_once(capsys):
         for fmt in ("json", "text", "csv"):
             _mask_profile.cache_clear()
             code, out, _ = run_cli(
-                capsys, ["phi", "--construct", "mantel+1:7", "--k", str(k),
+                capsys, ["phi", "--graph", "mantel+1:7", "--k", str(k),
                          "--p", "1/3", "--format", fmt])
             assert code == 0
             assert _mask_profile.cache_info().misses == 1, fmt
@@ -199,14 +210,14 @@ def test_phi_counts_the_covered_core_once(capsys):
 
 def test_bipartite_construct_needs_two_sizes(capsys):
     for bad in ("K:3", "K:1,2,3"):
-        code, _, err = run_cli(capsys, ["phi", "--construct", bad])
+        code, _, err = run_cli(capsys, ["phi", "--graph", bad])
         assert code == 2, bad
         assert err.startswith("error:") and "K:a,b" in err, bad
 
 
 def test_limit_exceeded_exit_3(capsys):
     for graph, count in (("complete:9", "36 covered"), ("mantel+1:30", "31 covered")):
-        code, out, err = run_cli(capsys, ["phi", "--construct", graph])
+        code, out, err = run_cli(capsys, ["phi", "--graph", graph])
         assert code == 3, graph
         assert out == ""
         assert count in err and "Monte Carlo" in err, graph
@@ -237,7 +248,7 @@ def test_envelope_command(capsys):
 
 
 def test_mc_command_deterministic(capsys):
-    argv = ["mc", "--construct", "mantel+1:12", "--p", "0.3", "--samples", "20000",
+    argv = ["mc", "--graph", "mantel+1:12", "--p", "0.3", "--samples", "20000",
             "--seed", "1"]
     code, out1, _ = run_cli(capsys, argv)
     assert code == 0
@@ -253,7 +264,7 @@ def test_mc_command_deterministic(capsys):
 
 
 def test_mc_records_the_clique_order(capsys):
-    base = ["mc", "--construct", "complete:5", "--p", "1/2", "--samples", "2000"]
+    base = ["mc", "--graph", "complete:5", "--p", "1/2", "--samples", "2000"]
     for k in ("3", "4"):
         code, out, _ = run_cli(capsys, base + ["--k", k])
         assert code == 0
@@ -269,7 +280,7 @@ def test_mc_records_the_clique_order(capsys):
 
 
 def test_mc_bad_trifree_jobs_exit_2(capsys, monkeypatch):
-    argv = ["mc", "--construct", "mantel+1:6", "--p", "1/2", "--samples", "100"]
+    argv = ["mc", "--graph", "mantel+1:6", "--p", "1/2", "--samples", "100"]
     monkeypatch.setenv("TRIFREE_JOBS", "abc")
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -290,7 +301,7 @@ def test_mc_bad_trifree_jobs_exit_2(capsys, monkeypatch):
 
 
 def test_mc_jobs_below_one_exit_2(capsys, monkeypatch):
-    argv = ["mc", "--construct", "mantel+1:6", "--p", "1/2", "--samples", "100"]
+    argv = ["mc", "--graph", "mantel+1:6", "--p", "1/2", "--samples", "100"]
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, argv + ["--jobs", jobs])
         assert code == 2, jobs
@@ -416,6 +427,23 @@ def test_classes_command(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["written"] == 2
     assert out_path.read_text().startswith("graph6,triangles,coeffs")
+
+
+def test_classes_streams_to_a_pipe():
+    # a non-regular --out is only written, never read back or cut
+    src = Path(trifree.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["classes", "--n", "4", "--m", "3", "--out", "/dev/stdout"]
+    child = subprocess.run(
+        [sys.executable, "-m", "trifree.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[0] == "graph6,triangles,coeffs"
+    assert [line.split(",")[0] for line in lines[1:4]] == class_names(4, 3)
+    assert json.loads(lines[4])["written"] == 3
 
 
 # -- verify module internals -------------------------------------------------

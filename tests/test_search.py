@@ -504,71 +504,86 @@ def test_verify_one_extra_capped_limits():
 
 def test_export_classes_csv(tmp_path):
     out = tmp_path / "classes.csv"
-    ck = tmp_path / "ck.txt"
-    written = export_classes_csv(5, 6, out, checkpoint_path=ck)
+    written = export_classes_csv(5, 6, out)
     assert written == len(enumerate_graphs(5, 6))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "graph6,triangles,coeffs"
-    assert len(lines) == written + 1
-    assert ck.read_text().split() == ["5", "6", str(written)]
-    # resume: nothing left to do
-    assert export_classes_csv(5, 6, out, checkpoint_path=ck) == 0
-    assert len(out.read_text().strip().splitlines()) == written + 1
-    # a checkpoint behind the CSV resumes mid-stream, cutting the CSV back
-    # to the rows it counts
     whole = out.read_bytes()
-    ck.write_text(f"5 6 {written - 2}\n")
-    assert export_classes_csv(5, 6, out, checkpoint_path=ck) == 2
+    lines = whole.decode().splitlines()
+    assert lines[0] == "graph6,triangles,coeffs"
+    assert [line.split(",")[0] for line in lines[1:]] == class_names(5, 6)
+    # the CSV is its own checkpoint: a complete export has nothing left to do
+    assert export_classes_csv(5, 6, out) == 0
+    assert out.read_bytes() == whole
+    # a header-only file resumes from row 0
+    out.write_bytes(whole.split(b"\n")[0] + b"\n")
+    assert export_classes_csv(5, 6, out) == written
     assert out.read_bytes() == whole
 
 
+def test_export_keeps_only_its_own_rows(tmp_path):
+    out, one_shot = tmp_path / "classes.csv", tmp_path / "one_shot.csv"
+    export_classes_csv(5, 6, one_shot)
+    # another export's rows at the path share the header, never the names
+    export_classes_csv(5, 7, out)
+    assert export_classes_csv(5, 6, out) == len(enumerate_graphs(5, 6))
+    assert out.read_bytes() == one_shot.read_bytes()
+    # a file that is not an export is written from the start
+    out.write_text("not,an,export\n")
+    export_classes_csv(5, 6, out)
+    assert out.read_bytes() == one_shot.read_bytes()
+
+
 # Runs one export in a child process that dies (os._exit: no buffer is
-# flushed) just before or just after its k-th write of the checkpoint,
-# whether the checkpoint is written in place or moved there by os.replace.
+# flushed) just before or just after its k-th flush of a row.
 _KILLED_EXPORT = """
-import os, pathlib, sys
-from trifree import export_classes_csv
+import builtins, os, sys
+from trifree import export_classes_csv, search
 
-out, ck, k, when = sys.argv[1], pathlib.Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-count = 0
+out, k, when = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 
-def counted(write, target_of):
-    def wrapped(*args, **kwargs):
-        global count
-        hit = pathlib.Path(target_of(args)) == ck
-        count += hit
-        if hit and count == k and when == "before":
+class Killed:
+    def __init__(self, fh):
+        self.fh, self.flushes = fh, 0
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        self.fh.close()
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+    def flush(self):
+        self.flushes += 1
+        if self.flushes == k and when == "before":
             os._exit(0)
-        result = write(*args, **kwargs)
-        if hit and count == k and when == "after":
+        self.fh.flush()
+        if self.flushes == k and when == "after":
             os._exit(0)
-        return result
-    return wrapped
 
-os.replace = counted(os.replace, lambda args: args[1])
-pathlib.Path.write_text = counted(pathlib.Path.write_text, lambda args: args[0])
-export_classes_csv(5, 6, out, checkpoint_path=ck)
-os._exit(3)  # never killed: fewer than k checkpoint writes
+search.open = lambda *args, **kwargs: Killed(builtins.open(*args, **kwargs))
+export_classes_csv(5, 6, out)
+os._exit(3)  # never killed: fewer than k rows
 """
 
 
-@pytest.mark.parametrize("k, when", [(1, "after"), (4, "after"), (4, "before")])
+@pytest.mark.parametrize(
+    "k, when", [(1, "before"), (1, "after"), (4, "before"), (4, "after")]
+)
 def test_export_resumes_after_kill(tmp_path, k, when):
     src = Path(trifree.__file__).resolve().parent.parent
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out, ck = tmp_path / "classes.csv", tmp_path / "ck.txt"
+    out, one_shot = tmp_path / "classes.csv", tmp_path / "one_shot.csv"
+    export_classes_csv(5, 6, one_shot)
+    lines = one_shot.read_bytes().splitlines(keepends=True)
     child = subprocess.run(
-        [sys.executable, "-c", _KILLED_EXPORT, str(out), str(ck), str(k), when],
+        [sys.executable, "-c", _KILLED_EXPORT, str(out), str(k), when],
         env=env, timeout=120,
     )
     assert child.returncode == 0
-    counted = k if when == "after" else k - 1
-    assert ck.read_text().split() == ["5", "6", str(counted)]
-    # the k-th row reached the file before its checkpoint write began
-    assert out.read_bytes().count(b"\n") == 1 + k
-    resumed = export_classes_csv(5, 6, out, checkpoint_path=ck)
-    assert resumed == len(enumerate_graphs(5, 6)) - counted
-    one_shot = tmp_path / "one_shot.csv"
-    export_classes_csv(5, 6, one_shot)
+    # the header goes out with the first row's flush
+    flushed = k if when == "after" else k - 1
+    assert out.read_bytes() == (b"".join(lines[: 1 + flushed]) if flushed else b"")
+    # a torn write leaves half of the next row behind
+    torn = lines[1 + flushed]
+    with open(out, "ab") as fh:
+        fh.write(torn[: len(torn) // 2])
+    assert export_classes_csv(5, 6, out) == len(lines) - 1 - flushed
     assert out.read_bytes() == one_shot.read_bytes()
