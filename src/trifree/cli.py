@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -44,10 +45,20 @@ def parse_probability(text: str) -> tuple[Fraction, bool]:
     return Fraction(num, den), False
 
 
-def resolve_graph(source: str) -> graphs.Graph:
-    """Named constructor ("mantel+1:6", "K:3,3", "complete:4", "g1".."g3")
-    or a graph6 string."""
-    s = source.strip()
+def resolve_graph(text: str) -> graphs.Graph:
+    """The one reader of --graph, --graph-file and --stdin text: past a leading
+    ">>graph6<<" and blank and '#' lines, "u v" edge lines, one constructor
+    ("mantel+1:6", "K:3,3", "complete:4", "g1".."g3") or one graph6 string."""
+    body = text.lstrip().removeprefix(">>graph6<<")
+    lines = [ln for ln in map(str.strip, body.splitlines()) if ln and ln[0] != "#"]
+    if not lines:
+        raise ValueError("no graph: expected 'u v' edge lines, a constructor or graph6")
+    others = [ln for ln in lines if not re.fullmatch(r"-?\d+\s+-?\d+", ln)]
+    if len(others) > 1:
+        raise ValueError(f"expected one constructor or graph6 line, got {len(others)}")
+    if len(lines) > 1 or not others:  # a stray line among edges: reported by number
+        return graphs.parse_edge_list(text)
+    s = others[0]
     lowered = s.lower()
     if lowered.startswith("mantel+1:"):
         return graphs.mantel_plus_one(int(s.split(":", 1)[1]))
@@ -65,29 +76,21 @@ def resolve_graph(source: str) -> graphs.Graph:
 
 
 def _graph_from_args(args) -> graphs.Graph:
-    sources = [args.graph is not None, args.graph_file is not None, bool(args.stdin)]
-    if sum(sources) != 1:
-        raise ValueError(
-            "exactly one graph source required: --graph, --graph-file or --stdin"
-        )
-    if args.graph is not None:
-        return resolve_graph(args.graph)
     if args.stdin:
-        return graphs.parse_graph6(sys.stdin.read())
-    with open(args.graph_file) as fh:
-        text = fh.read()
-    # a graph6 line never starts with '#', an edge-list comment always does
-    lines = (ln.strip() for ln in text.splitlines())
-    parts = next((ln for ln in lines if ln and not ln.startswith("#")), "").split()
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        return graphs.parse_edge_list(text)
-    return graphs.parse_graph6(text)
+        return resolve_graph(sys.stdin.read())
+    if args.graph_file is not None:
+        with open(args.graph_file) as fh:
+            return resolve_graph(fh.read())
+    return resolve_graph(args.graph)
 
 
 def _add_graph_args(sub: argparse.ArgumentParser):
-    sub.add_argument("--graph", help="graph6 or a constructor, e.g. mantel+1:6, K:3,3")
-    sub.add_argument("--graph-file", help="file with graph6 or 'u v' edge lines")
-    sub.add_argument("--stdin", action="store_true", help="read graph6 from stdin")
+    # argparse owns the rule "exactly one source" and exits 2 on a breach
+    source = sub.add_mutually_exclusive_group(required=True)
+    text = "'u v' edge lines, a constructor (e.g. mantel+1:6, K:3,3) or graph6"
+    source.add_argument("--graph", help=text)
+    source.add_argument("--graph-file", help=f"file holding {text}")
+    source.add_argument("--stdin", action="store_true", help=f"read {text} from stdin")
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None):

@@ -117,14 +117,12 @@ def flower(r: int) -> CliqueHypergraph:
     return CliqueHypergraph(max(2 * r + 1, 1), hedges)
 
 
-def random_linear_hypergraph(
-    vertices: int, r: int, seed: int, max_attempts: int = 10_000
-) -> CliqueHypergraph:
+def random_linear_hypergraph(vertices: int, r: int, seed: int) -> CliqueHypergraph:
     """Seeded random linear 3-uniform hypergraph with exactly r hyperedges.
 
     Triples are sampled one at a time and rejected when they overlap an
-    accepted triple in two or more vertices; raises ValueError when the
-    attempt budget runs out (e.g. r too large for the vertex budget).
+    accepted triple in two or more vertices; raises ValueError after
+    10,000 attempts (e.g. r too large for the vertex budget).
     """
     if vertices < 3 and r > 0:
         raise ValueError("need at least 3 vertices for a hyperedge")
@@ -132,10 +130,10 @@ def random_linear_hypergraph(
     accepted: list[frozenset[int]] = []
     attempts = 0
     while len(accepted) < r:
-        if attempts >= max_attempts:
+        if attempts >= 10_000:
             raise ValueError(
                 f"could not place {r} pairwise near-disjoint triples on "
-                f"{vertices} vertices after {max_attempts} attempts"
+                f"{vertices} vertices after {attempts} attempts"
             )
         attempts += 1
         triple = frozenset(rng.sample(range(vertices), 3))

@@ -20,7 +20,6 @@ the empirical mean sits at or near 1.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,9 +78,6 @@ class Estimate:
             "p": str(self.p),
             "clique_order": self.clique_order,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def keep_threshold(p) -> int:
@@ -147,21 +143,10 @@ def estimate_tf(
         (lane, min(LANE_SIZE, samples - lane * LANE_SIZE))
         for lane in range((samples + LANE_SIZE - 1) // LANE_SIZE)
     ]
-    workers = min(jobs, len(lanes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_lane = list(
-                pool.map(
-                    lambda lc: _lane_successes(seed, lc[0], lc[1], bound, copies, c),
-                    lanes,
-                )
-            )
-    else:
-        per_lane = [
-            _lane_successes(seed, lane, count, bound, copies, c)
-            for lane, count in lanes
-        ]
-    successes = sum(per_lane)
+    with ThreadPoolExecutor(max_workers=min(jobs, len(lanes))) as pool:
+        successes = sum(
+            pool.map(lambda lc: _lane_successes(seed, *lc, bound, copies, c), lanes)
+        )
     low, high = wilson_interval(successes, samples)
     return Estimate(
         successes / samples, low, high, samples, seed, successes, p_exact, clique_order

@@ -125,6 +125,9 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+ROOT_WIDTH = Fraction(1, 10**12)  # width of every isolating interval
+
+
 @dataclass(frozen=True)
 class RootInterval:
     """Rational enclosure of a single real root."""
@@ -140,9 +143,10 @@ class RootInterval:
         return {"lo": str(self.lo), "hi": str(self.hi), "approx": self.approx}
 
 
-def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInterval]:
-    """Disjoint rational intervals of width <= tol, one per distinct root of
-    poly in the open interval (lo, hi), lo <= hi.  Endpoints must not be roots."""
+def isolate_roots(poly: Poly, lo, hi) -> list[RootInterval]:
+    """Disjoint rational intervals of width <= ROOT_WIDTH, left to right, one
+    per distinct root of poly in the open interval (lo, hi), lo <= hi.
+    Endpoints must not be roots."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
@@ -155,7 +159,7 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
         k = va - vb
         if k == 0:
             return
-        if k == 1 and b - a <= tol:
+        if k == 1 and b - a <= ROOT_WIDTH:
             out.append(RootInterval(a, b))
             return
         mid = (a + b) / 2
@@ -167,16 +171,15 @@ def isolate_roots(poly: Poly, lo, hi, tol=Fraction(1, 10**12)) -> list[RootInter
         split(mid, b, vm, vb)
 
     split(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))
-    out.sort(key=lambda r: r.lo)
     return out
 
 
-def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInterval:
+def crossover_root(a: Poly, b: Poly, lo, hi) -> RootInterval:
     """Enclose a root of a - b where it changes sign on [lo, hi].
 
     lo > hi raises ValueError.  A root at an endpoint gives the degenerate
     interval there; no sign change raises ValueError.  Otherwise this is
-    the first interval of isolate_roots(a - b, lo, hi, tol): with several
+    the first interval of isolate_roots(a - b, lo, hi): with several
     roots inside, the leftmost one (a root of even multiplicity included).
     """
     lo, hi = Fraction(lo), Fraction(hi)
@@ -193,7 +196,7 @@ def crossover_root(a: Poly, b: Poly, lo, hi, tol=Fraction(1, 10**12)) -> RootInt
         raise ValueError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    return isolate_roots(diff, lo, hi, tol)[0]
+    return isolate_roots(diff, lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,7 @@ def _unit_shift(f: Poly) -> list[int]:
 
 
 def _interior_roots(diff: Poly) -> list[RootInterval]:
-    """Isolate every root of diff in the open interval (0, 1) to width 10^-12.
+    """Isolate every root of diff in the open interval (0, 1) to ROOT_WIDTH.
 
     Differences of probability polynomials vanish at 0 and often at 1.
     After p^a is stripped, Descartes' rule on the unit shift settles most

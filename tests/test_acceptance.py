@@ -115,9 +115,7 @@ def test_criterion_03_candidate_polynomials_and_factorization():
 def test_criterion_04_crossover_isolation_and_strict_comparisons():
     star, split, _ = two_extra_edge_candidates()
     poly_star, poly_split = tf_poly(star), tf_poly(split)
-    root = crossover_root(
-        poly_split, poly_star, Fraction(1, 2), Fraction(3, 4), tol=Fraction(1, 10**12)
-    )
+    root = crossover_root(poly_split, poly_star, Fraction(1, 2), Fraction(3, 4))
     ok_width = root.hi - root.lo <= Fraction(1, 10**12)
     ok_window = Fraction(5549, 10000) < root.lo and root.hi < Fraction(5550, 10000)
     ok_below = poly_split.eval(Fraction(1, 4)) > poly_star.eval(Fraction(1, 4))
@@ -328,8 +326,8 @@ def test_criterion_10_monte_carlo_calibration_and_reproducibility():
             inside += 1
     base = estimate_tf(g, Fraction(1, 2), 50_000, seed=42)
     reproducible = all(
-        estimate_tf(g, Fraction(1, 2), 50_000, seed=42, jobs=jobs).to_json_text()
-        == base.to_json_text()
+        estimate_tf(g, Fraction(1, 2), 50_000, seed=42, jobs=jobs).to_json()
+        == base.to_json()
         for jobs in (1, 2, 4)
     )
     ok = inside >= 180 and reproducible

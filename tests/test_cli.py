@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import trifree
 from trifree import (
+    Poly,
     canonical_form,
     mantel_plus_one,
     tf_poly,
@@ -131,12 +133,83 @@ def test_phi_stdin(capsys, monkeypatch):
 
 def test_phi_graph_file_edge_list(capsys, tmp_path):
     path = tmp_path / "g.txt"
-    # the format is sniffed from the first line that is not blank or a comment
+    # blank and '#' lines are skipped wherever they stand
     for text in ("0 1\n0 2\n1 2\n", "# triangle\n0 1\n1 2\n0 2\n"):
         path.write_text(text)
         code, out, _ = run_cli(capsys, ["phi", "--graph-file", str(path)])
         assert code == 0, text
         assert json.loads(out)["polynomial_text"] == "1 - p^3"
+
+
+def phi_through(capsys, monkeypatch, tmp_path, source, text):
+    """Run phi on text through one of the three graph sources."""
+    if source == "--graph":
+        argv = ["phi", "--graph", text]
+    elif source == "--graph-file":
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        argv = ["phi", "--graph-file", str(path)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        argv = ["phi", "--stdin"]
+    return run_cli(capsys, argv + ["--p", "1/3"])
+
+
+SOURCES = ("--graph", "--graph-file", "--stdin")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        ">>graph6<<\nBw\n",  # the header on its own line
+        ">>graph6<<Bw\n",  # the header on the graph's line
+        "\n\nBw\n\n",
+        "\r\n>>graph6<<\r\nBw\r\n\r\n",
+        "# triangle\n0 1\n1 2\n0 2\n",
+        "# triangle\r\n0 1\r\n\r\n1 2\r\n# last edge\r\n0 2\r\n",
+        "complete:3",
+    ],
+)
+def test_every_source_reads_every_layout(capsys, monkeypatch, tmp_path, source, text):
+    want = run_cli(capsys, ["phi", "--graph", "complete:3", "--p", "1/3"])
+    assert want[0] == 0
+    assert phi_through(capsys, monkeypatch, tmp_path, source, text) == want
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize(
+    "name", ["mantel+1:6", "K:3,3", "complete:4", "g1", "g2", "g3", "mantel+1:5"]
+)
+def test_every_constructor_through_every_source(capsys, monkeypatch, tmp_path, source, name):
+    code, out, _ = phi_through(capsys, monkeypatch, tmp_path, source, name + "\n")
+    assert code == 0
+    assert json.loads(out)["graph6"] == write_graph6(resolve_graph(name))
+    assert phi_through(capsys, monkeypatch, tmp_path, "--graph", name) == (code, out, "")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_source_without_a_graph_exit_2(capsys, monkeypatch, tmp_path, source):
+    for text in ("# nothing\n", "", "\n \n# a\n"):
+        code, out, err = phi_through(capsys, monkeypatch, tmp_path, source, text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: no graph"), text
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_two_graph_lines_exit_2_naming_the_count(capsys, monkeypatch, tmp_path, source):
+    for text, count in (("Bw\nBw\n", 2), ("# three\nBw\nK:3,3\nCx\n0 1\n", 3)):
+        code, out, err = phi_through(capsys, monkeypatch, tmp_path, source, text)
+        assert (code, out) == (2, ""), text
+        assert f"got {count}" in err, text
+
+
+def test_edge_list_errors_name_the_file_line(capsys, tmp_path, monkeypatch):
+    # one stray line among edges is an edge-list error, numbered in the input
+    code, _, err = phi_through(capsys, monkeypatch, tmp_path, "--graph-file",
+                               "\n# c\n0 1\n1 x\n")
+    assert code == 2
+    assert err == "error: line 4: non-integer vertex in '1 x'\n"
 
 
 def test_phi_graph_file_graph6(capsys, tmp_path):
@@ -160,11 +233,12 @@ def test_phi_graph_file_is_closed(capsys, tmp_path, name, text):
 
 
 def test_usage_errors_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["phi"])
-    assert code == 2
-    assert "graph source" in err
-    code, _, _ = run_cli(capsys, ["phi", "--graph", "Bw", "--stdin"])
-    assert code == 2
+    # argparse owns "exactly one graph source": none or two is SystemExit(2)
+    for argv in (["phi"], ["phi", "--graph", "Bw", "--stdin"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "--graph" in capsys.readouterr().err
     # --graph takes the named constructors; there is no second flag for them
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--construct", "K:3,3"])
@@ -464,6 +538,15 @@ def test_check_ls_reports():
 def test_check_linear_bound_reports():
     reports = check_linear_bound()
     assert all(r.passed for r in reports)
+
+
+def test_check_linear_bound_names_its_first_failure(monkeypatch):
+    # a bound of 0 is beaten by every hypergraph; the first in the corpus is
+    # the edgeless graph on one vertex, r = 0
+    monkeypatch.setattr("trifree.verify.linear_triple_bound", lambda r: Poly.zero())
+    (report,) = check_linear_bound()
+    assert not report.passed
+    assert report.witness.endswith("; first failure at r=0, p=1/10")
 
 
 def test_check_two_extra_reports():

@@ -88,7 +88,7 @@ def test_estimate_reproducible_across_jobs():
     for jobs in (2, 3, 8):
         again = estimate_tf(g, Fraction(1, 2), 100_000, seed=11, jobs=jobs)
         assert again == base
-        assert again.to_json_text() == base.to_json_text()
+        assert again.to_json() == base.to_json()
 
 
 def test_estimate_seed_sensitivity():
@@ -257,8 +257,8 @@ def test_estimate_pool_never_exceeds_lanes(monkeypatch):
     g = complete_graph(4)
     base = estimate_tf(g, Fraction(1, 2), 100, seed=4)
     assert estimate_tf(g, Fraction(1, 2), 100, seed=4, jobs=64) == base
-    assert started == []  # one lane: run inline, no pool at all
+    assert started == [1, 1]  # one lane: one worker, however large jobs is
     samples = 2 * LANE_SIZE + 1
     base = estimate_tf(g, Fraction(1, 2), samples, seed=4)
     assert estimate_tf(g, Fraction(1, 2), samples, seed=4, jobs=64) == base
-    assert started == [3]
+    assert started == [1, 1, 1, 3]

@@ -14,12 +14,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trifree import Poly, isolate_roots  # noqa: E402
-from trifree.search import _unit_shift  # noqa: E402
+from trifree.search import ROOT_WIDTH, _unit_shift  # noqa: E402
 
 # derandomized: the same examples on every run, no example database on disk
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 X = sympy.Symbol("x")
-TOL = Fraction(1, 2**20)
 
 
 @st.composite
@@ -57,15 +56,15 @@ def test_isolate_roots_encloses_each_sympy_root_once(f, interval):
     oracle = as_sympy(f)
     if oracle.eval(as_rational(lo)) == 0 or oracle.eval(as_rational(hi)) == 0:
         with pytest.raises(ValueError):
-            isolate_roots(f, lo, hi, TOL)
+            isolate_roots(f, lo, hi)
         return
     inside = [r for r in set(sympy.real_roots(oracle)) if as_rational(lo) < r < as_rational(hi)]
-    intervals = isolate_roots(f, lo, hi, TOL)
+    intervals = isolate_roots(f, lo, hi)
     assert len(intervals) == len(inside)
     for prev, cur in zip(intervals, intervals[1:]):
         assert prev.hi <= cur.lo
     for r in intervals:
-        assert r.hi - r.lo <= TOL
+        assert r.hi - r.lo <= ROOT_WIDTH
         a, b = as_rational(r.lo), as_rational(r.hi)
         assert sum(1 for x in inside if a <= x <= b) == 1
 

@@ -242,9 +242,9 @@ def test_crossover_root_endpoint_and_several_roots():
     # (5p-1)(5p-2)(5p-3) changes sign on [0, 1] with three roots inside:
     # the leftmost, 1/5, is the one returned
     cubic = Poly((-1, 5)) * Poly((-2, 5)) * Poly((-3, 5))
-    r = crossover_root(cubic, Poly.zero(), 0, 1, tol=Fraction(1, 10**6))
+    r = crossover_root(cubic, Poly.zero(), 0, 1)
     assert r.lo < Fraction(1, 5) < r.hi
-    assert r.hi - r.lo <= Fraction(1, 10**6)
+    assert r.hi - r.lo <= Fraction(1, 10**12)
 
 
 def test_count_and_isolate_roots():
@@ -288,6 +288,14 @@ def test_interior_roots_inside_the_bisection_margin():
         for r, x in zip(roots, want):
             assert r.lo < x < r.hi
             assert r.hi - r.lo <= Fraction(1, 10**12)
+
+
+def test_interior_roots_sturm_settles_what_descartes_cannot():
+    # p(1-p)(400p^2 - 400p + 101): the quadratic has no real root, yet the
+    # unit shift of the reduced difference changes sign twice
+    diff = Poly((0, 1, -1)) * Poly((101, -400, 400))
+    assert search._unit_shift(Poly(diff.coeffs[1:])) == [0, 101, -198, 101]
+    assert _interior_roots(diff) == []
 
 
 def test_envelope_single_segment_cases():
@@ -372,6 +380,19 @@ def test_envelope_finds_a_winner_between_grid_points(monkeypatch):
     a, b = env.crossovers
     assert a.lo < Fraction(302, 1000) < a.hi and b.lo < Fraction(304, 1000) < b.hi
     assert env.segments[1].lo < Fraction(303, 1000) < env.segments[1].hi
+
+
+def test_envelope_merges_a_winner_that_only_touches_a_rival(monkeypatch):
+    # 1 - p - p(1-p)(2p-1)^2 touches 1 - p at 1/2 without crossing it: the
+    # two pieces around that root keep one winner and merge
+    top = Poly((1, -1))
+    toucher = top - Poly((0, 1, -1)) * Poly((-1, 2)) ** 2
+    fakes = {parse_graph6("A_"): top, parse_graph6("A?"): toucher}
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    env = envelope(2, 0)
+    assert env.segments == (search.EnvelopeSegment(Fraction(0), Fraction(1), ("A_",)),)
+    assert env.crossovers == ()
 
 
 @pytest.mark.xfail(
@@ -587,3 +608,27 @@ def test_export_resumes_after_kill(tmp_path, k, when):
         fh.write(torn[: len(torn) // 2])
     assert export_classes_csv(5, 6, out) == len(lines) - 1 - flushed
     assert out.read_bytes() == one_shot.read_bytes()
+
+
+
+def test_maximize_tf_reports_every_tied_class_sorted(monkeypatch):
+    fakes = {parse_graph6("A_"): Poly((1, -1)), parse_graph6("A?"): Poly((1, -1))}
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    report = maximize_tf(2, 0, Fraction(1, 3))
+    assert report.maximizers == ("A?", "A_")
+    assert report.max_value == Fraction(2, 3)
+
+
+def test_one_extra_optimum_lists_a_class_above_the_target(monkeypatch, capsys):
+    from trifree.cli import main
+    above = complete_graph(4)  # stands in for a class beating the target
+    reps = enumerate_graphs(4, 5) + [above]
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: reps)
+    monkeypatch.setattr(search, "tf_poly", lambda g: Poly.one() if g == above else tf_poly(g))
+    report = verify_one_extra_optimum(4)
+    assert report.violations == (write_graph6(above),)
+    assert report.equality_classes == (report.construction,)
+    assert not report.passed
+    assert main(["verify", "--one-extra", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
