@@ -45,6 +45,13 @@ def parse_probability(text: str) -> tuple[Fraction, bool]:
     return Fraction(num, den), False
 
 
+_CONSTRUCTORS = {
+    "mantel+1": ("mantel+1:N", graphs.mantel_plus_one),
+    "k": ("K:a,b", graphs.complete_bipartite),
+    "complete": ("complete:N", graphs.complete_graph),
+}
+
+
 def resolve_graph(text: str) -> graphs.Graph:
     """The one reader of --graph, --graph-file and --stdin text: past a leading
     ">>graph6<<" and blank and '#' lines, "u v" edge lines, one constructor
@@ -60,19 +67,27 @@ def resolve_graph(text: str) -> graphs.Graph:
         return graphs.parse_edge_list(text)
     s = others[0]
     lowered = s.lower()
-    if lowered.startswith("mantel+1:"):
-        return graphs.mantel_plus_one(int(s.split(":", 1)[1]))
-    if lowered.startswith("k:"):
-        sizes = s.split(":", 1)[1].split(",")
-        if len(sizes) != 2:
-            raise ValueError(f"expected K:a,b with two part sizes, got {s!r}")
-        return graphs.complete_bipartite(int(sizes[0]), int(sizes[1]))
-    if lowered.startswith("complete:"):
-        return graphs.complete_graph(int(s.split(":", 1)[1]))
     if lowered in ("g1", "g2", "g3"):
-        trio = graphs.two_extra_edge_candidates()
-        return trio[int(lowered[1]) - 1]
-    return graphs.parse_graph6(s)
+        return graphs.two_extra_edge_candidates()[int(lowered[1]) - 1]
+    # ':' and digits are never graph6 characters: such a line is a constructor
+    if ":" not in s and not re.fullmatch(r"g\d+", lowered):
+        return graphs.parse_graph6(s)
+    name, _, sizes = s.partition(":")
+    if name.lower() not in _CONSTRUCTORS:
+        raise ValueError(
+            f"unknown constructor {s!r}: expected mantel+1:N, K:a,b, complete:N or g1..g3"
+        )
+    form, make = _CONSTRUCTORS[name.lower()]
+    try:
+        args = [int(x) for x in sizes.split(",")]
+    except ValueError:
+        args = []
+    if len(args) != form.count(",") + 1:
+        raise ValueError(f"expected {form} with integer sizes, got {s!r}")
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{s!r} is not a valid {form}: {exc}") from None
 
 
 def _graph_from_args(args) -> graphs.Graph:

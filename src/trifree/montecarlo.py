@@ -16,6 +16,14 @@ words, bit i for sample i, a copy is present in the samples where the AND
 of its edges' words is set, and a sample is bad when the OR over all
 copies is set.  Intervals are Wilson score at 95%, which stays sane when
 the empirical mean sits at or near 1.
+
+Memory depends on neither the number c of covered edges nor the sample
+count.  A lane draws its stream in consecutive blocks of
+max(64, BLOCK_WORDS // c rounded down to a multiple of 64) samples, so a
+worker holds about BLOCK_WORDS raw words (at least 64 samples' worth) and
+gathers copies in groups of about the same size.  A run submits one task
+per worker, min(jobs, lanes) of them; each task draws the next lane that
+no task has taken until none is left, and returns its sum of successes.
 """
 
 from __future__ import annotations
@@ -24,12 +32,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, sqrt
+from threading import Lock
 
 import numpy as np
 
 from .graphs import Graph, clique_edge_indices
 
 LANE_SIZE = 1 << 14
+BLOCK_WORDS = 1 << 16  # raw Philox words a lane draws at once
 Z95 = 1.959963984540054  # normal quantile at 0.975
 _MASK64 = (1 << 64) - 1
 
@@ -89,20 +99,29 @@ def keep_threshold(p) -> int:
 def _lane_successes(
     seed: int, lane: int, count: int, bound: int, copies: np.ndarray, c: int
 ) -> int:
-    # one row of keep flags per covered edge, padded with absent samples to
-    # whole uint64 words; raw words come in sample-major order, as the
-    # floats of rng.random((count, c)) would
-    kept = lane_generator(seed, lane).bit_generator.random_raw(count * c) < bound
-    keep = np.zeros((c, -(-count // 64) * 64), dtype=bool)
-    keep[:, :count] = kept.reshape(count, c).T
-    words = np.packbits(keep, axis=1, bitorder="little").view(np.uint64)
-    # gather copies in blocks no larger than the raw draw, so memory stays
-    # bounded however many copies the graph has
-    block = max(1, 64 * c // copies.shape[1])
-    bad = np.zeros(words.shape[1], dtype=np.uint64)
-    for start in range(0, len(copies), block):
-        present = np.bitwise_and.reduce(words[copies[start : start + block]], axis=1)
-        bad |= np.bitwise_or.reduce(present, axis=0)
+    # the lane's one Philox stream, drawn in blocks of `step` samples: each
+    # random_raw call continues where the last one stopped, so word i still
+    # belongs to sample i // c and edge i % c, as the floats of
+    # rng.random((count, c)) would
+    rng = lane_generator(seed, lane).bit_generator
+    step = max(64, BLOCK_WORDS // c // 64 * 64)
+    # gather copies in groups no larger than a block's raw draw, so memory
+    # stays bounded however many copies the graph has
+    group = max(1, 64 * c // copies.shape[1])
+    # bit i of bad[j] is set when sample 64 j + i holds a copy
+    bad = np.zeros(-(-count // 64), dtype=np.uint64)
+    for start in range(0, count, step):
+        size = min(step, count - start)
+        # one row of keep flags per covered edge, padded with absent samples
+        # to whole uint64 words
+        kept = rng.random_raw(size * c) < bound
+        keep = np.zeros((c, -(-size // 64) * 64), dtype=bool)
+        keep[:, :size] = kept.reshape(size, c).T
+        words = np.packbits(keep, axis=1, bitorder="little").view(np.uint64)
+        block_bad = bad[start // 64 : start // 64 + words.shape[1]]
+        for first in range(0, len(copies), group):
+            present = np.bitwise_and.reduce(words[copies[first : first + group]], axis=1)
+            block_bad |= np.bitwise_or.reduce(present, axis=0)
     # padding bits are 0 in every row, so they never count as bad
     return count - int(np.bitwise_count(bad).sum())
 
@@ -139,14 +158,25 @@ def estimate_tf(
     copies = np.array([[pos[e] for e in idx] for idx in cliques], dtype=np.intp)
     c = len(covered)
 
-    lanes = [
-        (lane, min(LANE_SIZE, samples - lane * LANE_SIZE))
-        for lane in range((samples + LANE_SIZE - 1) // LANE_SIZE)
-    ]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(lanes))) as pool:
-        successes = sum(
-            pool.map(lambda lc: _lane_successes(seed, *lc, bound, copies, c), lanes)
-        )
+    lanes = -(-samples // LANE_SIZE)
+    todo = iter(range(lanes))
+    taking = Lock()
+
+    def drain(_) -> int:
+        # a worker draws the next lane no worker has taken, until none is
+        # left; integer sums do not depend on which worker drew a lane
+        total = 0
+        while True:
+            with taking:
+                lane = next(todo, None)
+            if lane is None:
+                return total
+            count = min(LANE_SIZE, samples - lane * LANE_SIZE)
+            total += _lane_successes(seed, lane, count, bound, copies, c)
+
+    workers = min(jobs, lanes)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        successes = sum(pool.map(drain, range(workers)))
     low, high = wilson_interval(successes, samples)
     return Estimate(
         successes / samples, low, high, samples, seed, successes, p_exact, clique_order

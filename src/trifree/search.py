@@ -143,16 +143,11 @@ class RootInterval:
         return {"lo": str(self.lo), "hi": str(self.hi), "approx": self.approx}
 
 
-def isolate_roots(poly: Poly, lo, hi) -> list[RootInterval]:
-    """Disjoint rational intervals of width <= ROOT_WIDTH, left to right, one
-    per distinct root of poly in the open interval (lo, hi), lo <= hi.
-    Endpoints must not be roots."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    if not poly.sign_at(lo) or not poly.sign_at(hi):
-        raise ValueError("interval endpoint is a root; perturb the endpoints")
-    chain = _sturm_chain(poly)
+def _bisect_roots(
+    poly: Poly, chain: list[Poly], lo: Fraction, hi: Fraction, vlo: int, vhi: int
+) -> list[RootInterval]:
+    """isolate_roots on the Sturm chain of poly, given the variation counts
+    vlo and vhi of that chain at lo and hi, neither a root of poly."""
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
@@ -170,8 +165,23 @@ def isolate_roots(poly: Poly, lo, hi) -> list[RootInterval]:
         split(a, mid, va, vm)
         split(mid, b, vm, vb)
 
-    split(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))
+    split(lo, hi, vlo, vhi)
     return out
+
+
+def isolate_roots(poly: Poly, lo, hi) -> list[RootInterval]:
+    """Disjoint rational intervals of width <= ROOT_WIDTH, left to right, one
+    per distinct root of poly in the open interval (lo, hi), lo <= hi.
+    Endpoints must not be roots."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    if not poly.sign_at(lo) or not poly.sign_at(hi):
+        raise ValueError("interval endpoint is a root; perturb the endpoints")
+    chain = _sturm_chain(poly)
+    return _bisect_roots(
+        poly, chain, lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi)
+    )
 
 
 def crossover_root(a: Poly, b: Poly, lo, hi) -> RootInterval:
@@ -230,7 +240,7 @@ def _interior_roots(diff: Poly) -> list[RootInterval]:
     the margins 2^-40 and 1 - 2^-40 (the crossover bytes depend on them),
     each halved toward its end while a root lies between the margin and
     that end; a multiple root at 2^-40 zeroes the whole chain there, so
-    that margin halves too.  isolate_roots then bisects between them.
+    that margin halves too.  The same chain then bisects between them.
     """
     low = next(j for j, c in enumerate(diff.coeffs) if c)
     reduced = Poly(diff.coeffs[low:])
@@ -250,7 +260,7 @@ def _interior_roots(diff: Poly) -> list[RootInterval]:
         lo /= 2
     while not reduced.sign_at(hi) or _sign_variations(chain, hi) != at_one:
         hi = (hi + 1) / 2
-    return isolate_roots(reduced, lo, hi)
+    return _bisect_roots(reduced, chain, lo, hi, at_zero, at_one)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,35 @@ def test_two_graph_lines_exit_2_naming_the_count(capsys, monkeypatch, tmp_path, 
         assert f"got {count}" in err, text
 
 
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # ':' and digits are never graph6 characters, so no graph6 error
+        ("g4", "unknown constructor 'g4': expected mantel+1:N, K:a,b, complete:N or g1..g3"),
+        ("G0", "unknown constructor 'G0'"),
+        ("g12", "unknown constructor 'g12'"),
+        ("complet:5", "unknown constructor 'complet:5'"),
+        (":", "unknown constructor ':'"),
+        ("mantel+1:x", "expected mantel+1:N with integer sizes, got 'mantel+1:x'"),
+        ("complete:", "expected complete:N with integer sizes, got 'complete:'"),
+        ("K:3,x", "expected K:a,b with integer sizes, got 'K:3,x'"),
+        ("K:3", "expected K:a,b with integer sizes, got 'K:3'"),
+        ("k:2,2,2", "expected K:a,b with integer sizes, got 'k:2,2,2'"),
+        ("mantel+1:2", "'mantel+1:2' is not a valid mantel+1:N: need at least 3 vertices"),
+        ("complete:0", "'complete:0' is not a valid complete:N: vertex count must be in 1..62"),
+        ("K:40,40", "'K:40,40' is not a valid K:a,b: total vertex count 80 exceeds 62"),
+    ],
+)
+def test_misspelt_constructor_exit_2_naming_it(
+    capsys, monkeypatch, tmp_path, source, text, message
+):
+    code, out, err = phi_through(capsys, monkeypatch, tmp_path, source, text + "\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert "graph6" not in err and "int()" not in err
+
+
 def test_edge_list_errors_name_the_file_line(capsys, tmp_path, monkeypatch):
     # one stray line among edges is an edge-list error, numbered in the input
     code, _, err = phi_through(capsys, monkeypatch, tmp_path, "--graph-file",

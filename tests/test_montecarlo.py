@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
@@ -14,7 +16,7 @@ from trifree import (
     one_extra_edge_optimum,
 )
 from trifree.graphs import clique_edge_indices
-from trifree.montecarlo import LANE_SIZE, keep_threshold, wilson_interval
+from trifree.montecarlo import BLOCK_WORDS, LANE_SIZE, keep_threshold, wilson_interval
 
 
 def test_lane_generator_pinned_vectors():
@@ -262,3 +264,69 @@ def test_estimate_pool_never_exceeds_lanes(monkeypatch):
     base = estimate_tf(g, Fraction(1, 2), samples, seed=4)
     assert estimate_tf(g, Fraction(1, 2), samples, seed=4, jobs=64) == base
     assert started == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "make, k, p, seed, step, sizes",
+    [
+        # 41 covered edges: blocks of 1536 samples; a lane ends mid-block
+        (lambda: mantel_plus_one(40), 3, Fraction(3, 10), 6, 1536, (1535, 1536, 1537, LANE_SIZE + 1)),
+        # 780 covered edges: blocks of the 64-sample floor
+        (lambda: complete_graph(40), 3, Fraction(1, 20), 2**64 + 3, 64, (63, 64, 65, 129)),
+    ],
+)
+def test_estimate_at_block_boundaries_matches_column_loop(make, k, p, seed, step, sizes):
+    g = make()
+    c = len({e for idx in clique_edge_indices(g, k) for e in idx})
+    assert max(64, BLOCK_WORDS // c // 64 * 64) == step  # the block size of the lane
+    for samples in sizes:
+        est = estimate_tf(g, p, samples, seed=seed, clique_order=k)
+        assert 0 < est.successes < samples
+        assert est.successes == _column_loop_successes(g, p, samples, seed, k), samples
+
+
+def test_estimate_memory_depends_on_neither_edges_nor_samples():
+    # K40 has 780 covered edges: a whole lane of raw words at once would be
+    # 2^14 * 780 * 8 bytes, about 100 MB, per worker
+    g = complete_graph(40)
+    tracemalloc.start()
+    try:
+        est = estimate_tf(g, Fraction(1, 2), 1 << 15, seed=8, jobs=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 1 << 15
+    assert peak < 16 * 2**20
+
+
+def test_estimate_submits_one_task_per_worker(monkeypatch):
+    submitted, drawn = [], []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    def stub_lane(seed, lane, count, bound, copies, c):
+        drawn.append((lane, count))
+        return count
+
+    monkeypatch.setattr("trifree.montecarlo.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("trifree.montecarlo._lane_successes", stub_lane)
+    lanes = 50_000
+    samples = lanes * LANE_SIZE - 7
+    every_lane = [(lane, LANE_SIZE) for lane in range(lanes - 1)] + [(lanes - 1, LANE_SIZE - 7)]
+    # tasks share the queue of lanes: switch threads as often as possible,
+    # with more workers than cores, so that a lane drawn twice or lost shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in (1, 2, 3, 8):
+            submitted.clear()
+            drawn.clear()
+            est = estimate_tf(complete_graph(4), Fraction(1, 2), samples, seed=1, jobs=jobs)
+            assert len(submitted) == min(jobs, lanes)
+            assert sorted(drawn) == every_lane  # each lane once, by exactly one task
+            assert est.successes == samples
+    finally:
+        sys.setswitchinterval(interval)

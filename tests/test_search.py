@@ -298,6 +298,22 @@ def test_interior_roots_sturm_settles_what_descartes_cannot():
     assert _interior_roots(diff) == []
 
 
+def test_interior_roots_build_one_sturm_chain_per_isolation(monkeypatch):
+    # the chain that decides the zero test and the margins also bisects
+    counts = {"_sturm_chain": 0, "_bisect_roots": 0}
+    for name in counts:
+        def counting(*args, _name=name, _orig=getattr(search, name)):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(search, name, counting)
+    for n in range(3, 8):
+        for i in range(6):
+            if n * n // 4 + i <= n * (n - 1) // 2:
+                envelope(n, i)
+    assert counts == {"_sturm_chain": 6, "_bisect_roots": 6}
+
+
 def test_envelope_single_segment_cases():
     env = envelope(6, 1)
     assert len(env.segments) == 1
