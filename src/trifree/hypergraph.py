@@ -10,6 +10,7 @@ always linear.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -189,53 +190,43 @@ def _components(hedges) -> list[tuple[int, list[int]]]:
     return comps
 
 
-def _pivot(hedges) -> int:
-    """Pivot bit of nonempty hyperedge masks: the lowest bit among the
-    vertices of maximum degree.
-
-    Degrees are carry-save counters: bit b of slices[i] is bit i of the
-    number of hyperedges through vertex b.  The top slice is never zero,
-    so narrowing from all bits keeps only vertices of positive degree.
-    """
-    slices: list[int] = []
-    for carry in hedges:
-        for i, s in enumerate(slices):
-            slices[i] = s ^ carry
-            carry &= s
-            if not carry:
-                break
-        else:
-            slices.append(carry)
-    top = -1
-    for s in reversed(slices):
-        if top & s:
-            top &= s
-    return top & -top
-
-
-def _count_component(hedges: list[int], ncov: int, memo: dict, w: int, rows: list[int]) -> int:
-    """Packed independent-set counts by size over exactly the ncov vertices
-    covered by hedges (distinct masks, one component): count s in bits
-    [s*w, (s+1)*w).  Branches on a highest-degree vertex; freed vertices
-    multiply by rows[f], the packed binomial row (1 + x)^f."""
-    cached = memo.get(key := frozenset(hedges))
+def _count_component(hedges: list[int], union: int, memo: dict, w: int, rows: list[int]) -> int:
+    """Packed independent-set counts by size over the vertices of union,
+    the bits covered by hedges (distinct masks, one component): count s in
+    bits [s*w, (s+1)*w).  One or two hyperedges close in one step;
+    otherwise branches on the lowest bit of union, the next vertex of the
+    elimination order.  Freed vertices multiply by rows[f], the packed
+    binomial row (1 + x)^f."""
+    ncov = union.bit_count()
+    if len(hedges) <= 2:
+        # inclusion-exclusion: every subset, less those containing each
+        # hyperedge, plus the whole union, the one subset containing both
+        result = rows[ncov] + (1 << ncov * w if len(hedges) == 2 else 0)
+        for e in hedges:
+            size = e.bit_count()
+            result -= rows[ncov - size] << size * w
+        return result
+    cached = memo.get(key := tuple(sorted(hedges)))
     if cached is not None:
         return cached
-    pivot = _pivot(hedges)
+    pivot = union & -union
 
-    # pivot excluded: every hyperedge through it is satisfied
-    packed, covered = _profile_over([e for e in hedges if not e & pivot], memo, w, rows)
+    # pivot excluded: every hyperedge through it is satisfied.  Pivot
+    # included: hyperedges through it shrink; a one-vertex remnant forces
+    # that vertex out, which satisfies every hyperedge through it (nothing
+    # shrinks further, so one pass finds every forced vertex)
+    excluded, shrunk, forced_out = [], set(), 0
+    for e in hedges:
+        if e & pivot:
+            e ^= pivot
+        else:
+            excluded.append(e)
+        shrunk.add(e)
+        if e & (e - 1) == 0:
+            forced_out |= e
+    packed, covered = _profile_over(excluded, memo, w, rows)
     result = packed * rows[ncov - 1 - covered]
-
-    # pivot included: hyperedges through it shrink; a one-vertex remnant
-    # forces that vertex out, which satisfies every hyperedge through it
-    # (nothing shrinks further, so one pass finds every forced vertex)
-    shrunk = {e & ~pivot for e in hedges}
     if 0 not in shrunk:
-        forced_out = 0
-        for e in shrunk:
-            if e & (e - 1) == 0:
-                forced_out |= e
         packed, covered = _profile_over(
             [e for e in shrunk if not e & forced_out], memo, w, rows
         )
@@ -250,11 +241,9 @@ def _profile_over(hedges: list[int], memo: dict, w: int, rows: list[int]) -> tup
     """(packed counts over the covered vertices of hedges, number of those
     vertices); (1, 0) if there are none."""
     result, covered = 1, 0
-    if hedges:
-        for union, comp in _components(hedges):
-            ncov = union.bit_count()
-            result *= _count_component(comp, ncov, memo, w, rows)
-            covered += ncov
+    for union, comp in _components(hedges):
+        result *= _count_component(comp, union, memo, w, rows)
+        covered += union.bit_count()
     return result, covered
 
 
@@ -263,27 +252,30 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
 
     The one exact counting engine: independence_profile and
     exact.tf_profile/tf_poly are maps over it.  Covered vertices are
-    renumbered to bit positions and hyperedges become int masks; the count
-    branches on a highest-degree vertex, splits into connected components
-    and memoizes sub-hypergraphs.  A profile is one packed int with count
-    s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count
-    exceeds 2^c, so sums and products never carry between slots, and
-    convolution is one multiplication.  Entry s counts the s-subsets of
-    the covered vertices; more than MAX_COVERED_VERTICES of them raise
+    numbered to bit positions by descending hyperedge degree (ties by
+    vertex), which is the fixed elimination order: the count branches on
+    the first remaining vertex of a component, splits into connected
+    components, memoizes sub-hypergraphs, and closes components of one or
+    two hyperedges by inclusion-exclusion.  A profile is one packed int
+    with count s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices:
+    no count exceeds 2^c, so sums and products never carry between slots,
+    and convolution is one multiplication.  Entry s counts the s-subsets
+    of the covered vertices; more than MAX_COVERED_VERTICES of them raise
     LimitExceededError, before the cache is consulted.
 
     Equal mask sets have equal profiles, so results are kept in a
     process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
     tf_poly and independence_profile of one graph count it once.
     """
-    covered = sorted({v for e in hyperedges for v in e})
-    if len(covered) > MAX_COVERED_VERTICES:
+    degree = Counter(v for e in hyperedges for v in e)
+    if len(degree) > MAX_COVERED_VERTICES:
         raise LimitExceededError(
-            f"{len(covered)} covered vertices (for a graph: its edges in some "
+            f"{len(degree)} covered vertices (for a graph: its edges in some "
             f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
             "use Monte Carlo estimation instead"
         )
-    bit = {v: 1 << i for i, v in enumerate(covered)}
+    order = sorted(degree, key=lambda v: (-degree[v], v))
+    bit = {v: 1 << i for i, v in enumerate(order)}
     masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
     if 0 in masks:
         raise ValueError("hyperedges must be nonempty")

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -28,7 +31,6 @@ from trifree.hypergraph import (
     PROFILE_CACHE_SIZE,
     _count_component,
     _mask_profile,
-    _pivot,
     clique_edge_indices,
     covered_profile,
 )
@@ -229,29 +231,49 @@ def test_packed_slot_width_at_the_limit():
     assert covered_profile([tuple(range(30))]) == expected
 
 
-def degree_dict_pivot(masks) -> int:
-    """The pivot rule by a per-bit degree dict: lowest bit of maximum degree."""
-    degree: dict[int, int] = {}
-    for e in masks:
-        while e:
-            low = e & -e
-            degree[low] = degree.get(low, 0) + 1
-            e ^= low
-    return max(degree, key=lambda b: (degree[b], -b))
+def test_covered_profile_is_invariant_under_relabeling():
+    # the elimination order follows degrees and labels; the counts may not
+    rng = random.Random(21)
+    for case in range(300):
+        vertices = rng.randint(1, 20)
+        hedges = [
+            tuple(rng.sample(range(vertices), rng.randint(1, min(6, vertices))))
+            for _ in range(rng.randint(1, 12))
+        ]
+        profile = covered_profile(hedges)
+        relabel = rng.sample(range(100), vertices)
+        moved = [tuple(relabel[v] for v in rng.sample(e, len(e))) for e in hedges]
+        rng.shuffle(moved)
+        _mask_profile.cache_clear()
+        assert covered_profile(moved) == profile, case
 
 
-def test_bit_sliced_pivot_matches_degree_rule():
-    rng = random.Random(10)
-    for _ in range(500):
-        width = rng.randint(1, 30)
-        masks = frozenset(
-            rng.getrandbits(width) | 1 << rng.randrange(width)
-            for _ in range(rng.randint(1, 60))
-        )
-        assert _pivot(masks) == degree_dict_pivot(masks)
+def test_one_and_two_hyperedge_components_close_without_recursion(monkeypatch):
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return _count_component(*args)
+
+    def cold_profile_and_calls(hedges):
+        nonlocal count
+        count = 0
+        _mask_profile.cache_clear()
+        return covered_profile([tuple(e) for e in hedges]), count
+
+    monkeypatch.setattr("trifree.hypergraph._count_component", counted)
+    for a in range(1, 7):
+        want = brute_independence_profile(a, [range(a)])
+        assert cold_profile_and_calls([range(a)]) == (want, 1)
+        for b in range(1, 7):
+            for overlap in range(1, min(a, b) + 1):
+                pair = [range(a), range(a - overlap, a - overlap + b)]
+                want = brute_independence_profile(a - overlap + b, pair)
+                assert cold_profile_and_calls(pair) == (want, 1), (a, b, overlap)
 
 
-@pytest.mark.parametrize("k, calls", [(3, 2309), (4, 3771)])
+@pytest.mark.parametrize("k, calls", [(3, 1676), (4, 3471)])
 def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
     # a change to the branching tree (pivot, components, memo) shows here
     count = 0
@@ -275,7 +297,7 @@ def disjoint_cliques(*orders: int):
     return build_graph(base, edges)
 
 
-@pytest.mark.parametrize("k, calls", [(3, 84), (4, 69)])
+@pytest.mark.parametrize("k, calls", [(3, 61), (4, 27)])
 def test_branching_tree_size_is_pinned_on_disjoint_blocks(monkeypatch, k, calls):
     # K5 + K5 + K4 splits into components at the top level, as K7 never does
     count = 0
@@ -288,6 +310,34 @@ def test_branching_tree_size_is_pinned_on_disjoint_blocks(monkeypatch, k, calls)
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
     tf_profile(disjoint_cliques(5, 5, 4), k)
     assert count == calls
+
+
+def test_engine_memory_on_k8_with_k4_is_bounded():
+    # the memo holds one entry per distinct residual hypergraph; the fixed
+    # elimination order shares them (29 MiB under a per-node degree pivot)
+    tracemalloc.start()
+    try:
+        tf_profile(complete_graph(8), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.slow
+def test_k9_past_the_covered_limit(monkeypatch):
+    # K9 has 36 covered edges; the digest comes from the earlier engine, which
+    # branched on a highest-degree vertex at every node
+    with pytest.raises(LimitExceededError):
+        tf_poly(complete_graph(9))
+    monkeypatch.setattr("trifree.hypergraph.MAX_COVERED_VERTICES", 36)
+    poly = tf_poly(complete_graph(9))
+    got = json.dumps(poly.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(got.encode()).hexdigest()
+        == "fc05817396a8487fb5fdb37ce443ee0c4d915be10beb0e3cd97978eb7e2fa396"
+    )
+    assert sum(tf_profile(complete_graph(9)).counts) == 246_348_115
 
 
 def test_empty_hyperedge_is_rejected():
