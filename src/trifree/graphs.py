@@ -184,8 +184,10 @@ def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
     """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
     if clique_order < 2:
         raise ValueError("clique order must be at least 2")
+    # pairs of a sorted clique come in lexicographic order, the index order
+    index = g._edge_index
     return [
-        tuple(sorted(g.edge_index(u, v) for u, v in combinations(members, 2)))
+        tuple(index[e] for e in combinations(members, 2))
         for members in cliques(g, clique_order)
     ]
 

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb
 from operator import or_
 
@@ -190,13 +191,23 @@ def _components(hedges) -> list[tuple[int, list[int]]]:
     return comps
 
 
-def _count_component(hedges: list[int], union: int, memo: dict, w: int, rows: list[int]) -> int:
+def _count_component(
+    hedges: list[int], union: int, memo: dict, w: int, rows: list[int], overlap: int
+) -> int:
     """Packed independent-set counts by size over the vertices of union,
     the bits covered by hedges (distinct masks, one component): count s in
     bits [s*w, (s+1)*w).  One or two hyperedges close in one step;
     otherwise branches on the lowest bit of union, the next vertex of the
     elimination order.  Freed vertices multiply by rows[f], the packed
-    binomial row (1 + x)^f."""
+    binomial row (1 + x)^f.
+
+    overlap is the largest |e & f| over two masks of the input, so it
+    bounds every pair here.  The include branch drops each hyperedge that
+    strictly contains a cut one (e - pivot, for e through the pivot): a set
+    holding the larger holds the smaller, so the larger is implied.  Only
+    a cut hyperedge can newly lie inside another, and e - pivot lies in f
+    only if it fits in e & f, so only cut sizes 2..overlap are tried, and
+    nothing when overlap <= 1 (every triangle hypergraph)."""
     ncov = union.bit_count()
     if len(hedges) <= 2:
         # inclusion-exclusion: every subset, less those containing each
@@ -215,21 +226,25 @@ def _count_component(hedges: list[int], union: int, memo: dict, w: int, rows: li
     # included: hyperedges through it shrink; a one-vertex remnant forces
     # that vertex out, which satisfies every hyperedge through it (nothing
     # shrinks further, so one pass finds every forced vertex)
-    excluded, shrunk, forced_out = [], set(), 0
+    excluded, shrunk, cut, forced_out = [], set(), [], 0
     for e in hedges:
         if e & pivot:
             e ^= pivot
+            cut.append(e)
         else:
             excluded.append(e)
         shrunk.add(e)
         if e & (e - 1) == 0:
             forced_out |= e
-    packed, covered = _profile_over(excluded, memo, w, rows)
+    packed, covered = _profile_over(excluded, memo, w, rows, overlap)
     result = packed * rows[ncov - 1 - covered]
     if 0 not in shrunk:
-        packed, covered = _profile_over(
-            [e for e in shrunk if not e & forced_out], memo, w, rows
-        )
+        live = [e for e in shrunk if not e & forced_out]
+        if overlap > 1:
+            for c in cut:
+                if 1 < c.bit_count() <= overlap:
+                    live = [e for e in live if e | c != e or e == c]
+        packed, covered = _profile_over(live, memo, w, rows, overlap)
         freed = ncov - 1 - forced_out.bit_count() - covered
         # shift: the pivot itself is in the set
         result += packed * rows[freed] << w
@@ -237,12 +252,14 @@ def _count_component(hedges: list[int], union: int, memo: dict, w: int, rows: li
     return result
 
 
-def _profile_over(hedges: list[int], memo: dict, w: int, rows: list[int]) -> tuple[int, int]:
+def _profile_over(
+    hedges: list[int], memo: dict, w: int, rows: list[int], overlap: int
+) -> tuple[int, int]:
     """(packed counts over the covered vertices of hedges, number of those
     vertices); (1, 0) if there are none."""
     result, covered = 1, 0
     for union, comp in _components(hedges):
-        result *= _count_component(comp, union, memo, w, rows)
+        result *= _count_component(comp, union, memo, w, rows, overlap)
         covered += union.bit_count()
     return result, covered
 
@@ -256,7 +273,10 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     vertex), which is the fixed elimination order: the count branches on
     the first remaining vertex of a component, splits into connected
     components, memoizes sub-hypergraphs, and closes components of one or
-    two hyperedges by inclusion-exclusion.  A profile is one packed int
+    two hyperedges by inclusion-exclusion.  Only when some two hyperedges
+    share two or more vertices (never for triangles: their hypergraphs are
+    linear), a branch that includes a vertex drops every hyperedge implied
+    by one that vertex shrank.  A profile is one packed int
     with count s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices:
     no count exceeds 2^c, so sums and products never carry between slots,
     and convolution is one multiplication.  Entry s counts the s-subsets
@@ -288,7 +308,8 @@ def _mask_profile(masks: frozenset[int]) -> tuple[int, ...]:
     c = _union(masks).bit_count()
     w = c + 1
     rows = [(1 + (1 << w)) ** f for f in range(c + 1)]
-    packed, _ = _profile_over(list(masks), {}, w, rows)
+    overlap = max(((a & b).bit_count() for a, b in combinations(masks, 2)), default=0)
+    packed, _ = _profile_over(list(masks), {}, w, rows, overlap)
     mask = (1 << w) - 1
     return tuple(packed >> (s * w) & mask for s in range(c + 1))
 

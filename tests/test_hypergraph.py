@@ -3,12 +3,12 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from conftest import brute_independence_profile
+from conftest import brute_independence_profile, random_graph
 from trifree import (
     CliqueHypergraph,
     build_graph,
@@ -27,6 +27,7 @@ from trifree import (
     tf_profile,
 )
 from trifree.errors import LimitExceededError
+from trifree.graphs import cliques
 from trifree.hypergraph import (
     PROFILE_CACHE_SIZE,
     _count_component,
@@ -94,6 +95,15 @@ def test_clique_edge_indices():
     assert clique_edge_indices(k4, 3) == [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]
     assert clique_edge_indices(k4, 4) == [(0, 1, 2, 3, 4, 5)]
     assert clique_edge_indices(k4, 2) == [(e,) for e in range(6)]
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = random_graph(n, rng.randint(0, comb(n, 2)), rng)
+        for k in range(2, 6):
+            assert clique_edge_indices(g, k) == [
+                tuple(sorted(g.edge_index(u, v) for u, v in combinations(members, 2)))
+                for members in cliques(g, k)
+            ]
     # a K_1 has no edge: rejected by every caller, not counted as a copy
     with pytest.raises(ValueError):
         clique_edge_indices(k4, 1)
@@ -273,7 +283,7 @@ def test_one_and_two_hyperedge_components_close_without_recursion(monkeypatch):
                 assert cold_profile_and_calls(pair) == (want, 1), (a, b, overlap)
 
 
-@pytest.mark.parametrize("k, calls", [(3, 1676), (4, 3471)])
+@pytest.mark.parametrize("k, calls", [(3, 1676), (4, 2259)])
 def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
     # a change to the branching tree (pivot, components, memo) shows here
     count = 0
@@ -286,6 +296,73 @@ def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
     tf_profile(complete_graph(7), k)
     assert count == calls
+
+
+def random_overlapping_hypergraph(rng: random.Random) -> list[tuple[int, ...]]:
+    """Hyperedges of one size r in 3..6 on at most 12 vertices; each after
+    the first shares 2 to r - 1 vertices with an earlier one."""
+    vertices = rng.randint(7, 12)
+    r = rng.randint(3, 6)
+    count = rng.randint(3, 8)
+    hedges = [tuple(rng.sample(range(vertices), r))]
+    while len(hedges) < count:
+        kept = rng.sample(rng.choice(hedges), rng.randint(2, r - 1))
+        rest = [v for v in range(vertices) if v not in kept]
+        hedge = tuple(sorted(kept + rng.sample(rest, r - len(kept))))
+        if hedge not in hedges:
+            hedges.append(hedge)
+    return hedges
+
+
+def check_uniform_against_brute_force(monkeypatch, hedges) -> int:
+    """covered_profile(hedges) equals the oracle, and since the hyperedges
+    have one size, no branch sees one hyperedge strictly inside another:
+    every implied hyperedge was dropped.  Returns the _count_component
+    calls of a cold count."""
+    seen = []
+
+    def recorded(masks, *args):
+        seen.append(masks)
+        return _count_component(masks, *args)
+
+    monkeypatch.setattr("trifree.hypergraph._count_component", recorded)
+    covered = sorted({v for e in hedges for v in e})
+    renumbered = [tuple(covered.index(v) for v in e) for e in hedges]
+    assert covered_profile(hedges) == brute_independence_profile(len(covered), renumbered)
+    for masks in seen:
+        assert not any(a != b and a | b == b for a in masks for b in masks)
+    return len(seen)
+
+
+def test_include_branch_drops_an_implied_hyperedge(monkeypatch):
+    # including vertex 0 shrinks {0, 1, 2} to {1, 2}, which implies {1, 2, 3};
+    # what is left is two one-hyperedge components (5 calls without the drop)
+    assert check_uniform_against_brute_force(monkeypatch, [(0, 1, 2), (1, 2, 3), (0, 3, 4)]) == 4
+
+
+def test_covered_profile_matches_brute_force_on_overlapping_hyperedges(monkeypatch):
+    rng = random.Random(22)
+    for _ in range(120):
+        check_uniform_against_brute_force(monkeypatch, random_overlapping_hypergraph(rng))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_covered_profile_matches_brute_force_on_random_clique_hypergraphs(monkeypatch, k):
+    # a K_{k+1} on random vertices, less up to two edges, plus up to three
+    # more: K_k copies sharing up to C(k-1, 2) edges
+    rng = random.Random(k)
+    checked = 0
+    while checked < 10:
+        n = rng.randint(k + 1, 7)
+        pairs = set(combinations(sorted(rng.sample(range(n), k + 1)), 2))
+        pairs -= set(rng.sample(sorted(pairs), rng.randint(0, 2)))
+        others = [e for e in combinations(range(n), 2) if e not in pairs]
+        g = build_graph(n, sorted(pairs) + rng.sample(others, min(3, len(others))))
+        h = from_graph(g, k)
+        if h.edge_count < 2 or len(h.covered_vertices()) > 15:
+            continue
+        check_uniform_against_brute_force(monkeypatch, h.hyperedges)
+        checked += 1
 
 
 def disjoint_cliques(*orders: int):
@@ -338,6 +415,19 @@ def test_k9_past_the_covered_limit(monkeypatch):
         == "fc05817396a8487fb5fdb37ce443ee0c4d915be10beb0e3cd97978eb7e2fa396"
     )
     assert sum(tf_profile(complete_graph(9)).counts) == 246_348_115
+
+
+@pytest.mark.slow
+def test_k9_with_k4_past_the_covered_limit(monkeypatch):
+    # the digest comes from the engine before implied hyperedges were dropped
+    monkeypatch.setattr("trifree.hypergraph.MAX_COVERED_VERTICES", 36)
+    counts = tf_profile(complete_graph(9), 4).counts
+    got = json.dumps([str(c) for c in counts], separators=(",", ":"))
+    assert (
+        hashlib.sha256(got.encode()).hexdigest()
+        == "e37d3be8bf82199d8671d8a9e3bffde6a5df5b4f86edadbd2d00ac6f3cc1d078"
+    )
+    assert sum(counts) == 26_444_063_268
 
 
 def test_empty_hyperedge_is_rejected():
