@@ -21,7 +21,9 @@ class Graph:
     """Immutable simple graph; construct via :func:`build_graph` or the
     named constructors below."""
 
-    __slots__ = ("n", "adj", "edges", "_edge_index")
+    # _clique_masks: the engine's hyperedge masks per clique order
+    # (hypergraph.clique_profile), filled on first use
+    __slots__ = ("n", "adj", "edges", "_edge_index", "_clique_masks")
 
     def __init__(self, n: int, edges):
         if not 1 <= n <= MAX_VERTICES:
@@ -47,6 +49,7 @@ class Graph:
         self.adj = tuple(adj)
         self.edges = tuple(norm)
         self._edge_index = {e: i for i, e in enumerate(norm)}
+        self._clique_masks: dict[int, frozenset[int]] = {}
 
     @property
     def m(self) -> int:

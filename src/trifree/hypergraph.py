@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from operator import or_
 
@@ -150,56 +150,20 @@ def random_linear_hypergraph(vertices: int, r: int, seed: int) -> CliqueHypergra
 # ---------------------------------------------------------------------------
 
 
-def _binomial_row(n: int) -> tuple[int, ...]:
-    return tuple(comb(n, s) for s in range(n + 1))
-
-
-def _convolve(a, b) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
 def _union(masks) -> int:
     return reduce(or_, masks, 0)
 
 
-def _components(hedges) -> list[tuple[int, list[int]]]:
-    """Partition hyperedge masks into connected components (shared
-    vertices): (vertex union, masks) per component."""
-    remaining = list(hedges)
-    comps = []
-    while remaining:
-        verts = remaining.pop()
-        comp = [verts]
-        grew = True
-        while grew:
-            grew = False
-            rest = []
-            for e in remaining:
-                if e & verts:
-                    comp.append(e)
-                    verts |= e
-                    grew = True
-                else:
-                    rest.append(e)
-            remaining = rest
-        comps.append((verts, comp))
-    return comps
-
-
 def _count_component(
-    hedges: list[int], union: int, memo: dict, w: int, rows: list[int], overlap: int
+    hedges, union: int, memo: dict, w: int, rows: list[int], overlap: int
 ) -> int:
     """Packed independent-set counts by size over the vertices of union,
-    the bits covered by hedges (distinct masks, one component): count s in
-    bits [s*w, (s+1)*w).  One or two hyperedges close in one step;
-    otherwise branches on the lowest bit of union, the next vertex of the
-    elimination order.  Freed vertices multiply by rows[f], the packed
-    binomial row (1 + x)^f.
+    the bits covered by hedges (three or more distinct masks, one
+    component): count s in bits [s*w, (s+1)*w).  Branches on the lowest
+    bit of union, the next vertex of the elimination order.  Freed
+    vertices multiply by rows[f], the packed binomial row (1 + x)^f; the
+    unions built while splitting the hyperedges into the two branches give
+    each branch's covered count.
 
     overlap is the largest |e & f| over two masks of the input, so it
     bounds every pair here.  The include branch drops each hyperedge that
@@ -209,59 +173,116 @@ def _count_component(
     only if it fits in e & f, so only cut sizes 2..overlap are tried, and
     nothing when overlap <= 1 (every triangle hypergraph)."""
     ncov = union.bit_count()
+    pivot = union & -union
+
+    # pivot excluded: every hyperedge through it is satisfied.  Pivot
+    # included: hyperedges through it shrink (cut); a one-vertex remnant
+    # forces that vertex out, which satisfies every hyperedge through it
+    # (nothing shrinks further, so one pass finds every forced vertex)
+    excluded, cut, kept, forced_out = [], [], 0, 0
+    for e in hedges:
+        if e & pivot:
+            e ^= pivot
+            if not e & (e - 1):
+                forced_out |= e
+            cut.append(e)
+        else:
+            excluded.append(e)
+            kept |= e
+    freed = ncov - 1 - kept.bit_count()
+    result = _profile_over(excluded, kept, memo, w, rows, overlap) * rows[freed]
+    if 0 in cut:
+        return result
+    live = {*excluded, *cut}
+    # with nothing forced out or dropped, the live union is union - pivot
+    kept = union ^ pivot
+    if forced_out or overlap > 1:
+        implying = []
+        if overlap > 1:
+            for c in cut:
+                if 1 < c.bit_count() <= overlap:
+                    implying.append(c)
+        rest, kept = [], 0
+        for e in live:
+            if e & forced_out:
+                continue
+            for c in implying:
+                if e & c == c and e != c:
+                    break
+            else:
+                rest.append(e)
+                kept |= e
+        live = rest
+    freed = ncov - 1 - forced_out.bit_count() - kept.bit_count()
+    # shift: the pivot itself is in the set
+    return result + (_profile_over(live, kept, memo, w, rows, overlap) * rows[freed] << w)
+
+
+def _profile_over(hedges, union: int, memo: dict, w: int, rows: list[int], overlap: int) -> int:
+    """Packed counts over union, the covered vertices of hedges (distinct
+    masks; 1 if none).
+
+    At most two hyperedges close by inclusion-exclusion, with no memo
+    entry.  Otherwise the memo is looked up on the sorted residual before
+    anything else.  On a miss the component of the lowest vertex is grown
+    by passes that add every mask meeting it: a connected residual
+    branches, and one that stops short of union is split into that
+    component and the rest, both memoized through this same function.
+    Either way the residual is stored, its value a plain packed int."""
     if len(hedges) <= 2:
-        # inclusion-exclusion: every subset, less those containing each
-        # hyperedge, plus the whole union, the one subset containing both
+        # every subset, less those containing each hyperedge, plus the
+        # one containing both: the whole union
+        ncov = union.bit_count()
         result = rows[ncov] + (1 << ncov * w if len(hedges) == 2 else 0)
         for e in hedges:
             size = e.bit_count()
             result -= rows[ncov - size] << size * w
         return result
-    cached = memo.get(key := tuple(sorted(hedges)))
-    if cached is not None:
-        return cached
-    pivot = union & -union
-
-    # pivot excluded: every hyperedge through it is satisfied.  Pivot
-    # included: hyperedges through it shrink; a one-vertex remnant forces
-    # that vertex out, which satisfies every hyperedge through it (nothing
-    # shrinks further, so one pass finds every forced vertex)
-    excluded, shrunk, cut, forced_out = [], set(), [], 0
-    for e in hedges:
-        if e & pivot:
-            e ^= pivot
-            cut.append(e)
+    key = tuple(sorted(hedges))
+    result = memo.get(key)
+    if result is None:
+        verts, last = union & -union, 0
+        while verts != last and verts != union:
+            last = verts
+            for e in hedges:
+                if e & verts:
+                    verts |= e
+        if verts == union:
+            result = _count_component(hedges, union, memo, w, rows, overlap)
         else:
-            excluded.append(e)
-        shrunk.add(e)
-        if e & (e - 1) == 0:
-            forced_out |= e
-    packed, covered = _profile_over(excluded, memo, w, rows, overlap)
-    result = packed * rows[ncov - 1 - covered]
-    if 0 not in shrunk:
-        live = [e for e in shrunk if not e & forced_out]
-        if overlap > 1:
-            for c in cut:
-                if 1 < c.bit_count() <= overlap:
-                    live = [e for e in live if e | c != e or e == c]
-        packed, covered = _profile_over(live, memo, w, rows, overlap)
-        freed = ncov - 1 - forced_out.bit_count() - covered
-        # shift: the pivot itself is in the set
-        result += packed * rows[freed] << w
-    memo[key] = result
+            comp, rest = [], []
+            for e in hedges:
+                (comp if e & verts else rest).append(e)
+            result = _profile_over(comp, verts, memo, w, rows, overlap) * _profile_over(
+                rest, union ^ verts, memo, w, rows, overlap
+            )
+        memo[key] = result
     return result
 
 
-def _profile_over(
-    hedges: list[int], memo: dict, w: int, rows: list[int], overlap: int
-) -> tuple[int, int]:
-    """(packed counts over the covered vertices of hedges, number of those
-    vertices); (1, 0) if there are none."""
-    result, covered = 1, 0
-    for union, comp in _components(hedges):
-        result *= _count_component(comp, union, memo, w, rows, overlap)
-        covered += union.bit_count()
-    return result, covered
+def _check_covered(count: int) -> None:
+    if count > MAX_COVERED_VERTICES:
+        raise LimitExceededError(
+            f"{count} covered vertices (for a graph: its edges in some "
+            f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
+            "use Monte Carlo estimation instead"
+        )
+
+
+def renumbered_masks(hyperedges) -> frozenset[int]:
+    """The hyperedges as distinct bit masks over their covered vertices,
+    numbered by descending hyperedge degree (ties by vertex): the fixed
+    elimination order of the engine.  More than MAX_COVERED_VERTICES
+    covered vertices raise LimitExceededError, before any mask is built;
+    an empty hyperedge raises ValueError."""
+    degree = Counter(v for e in hyperedges for v in e)
+    _check_covered(len(degree))
+    order = sorted(degree, key=lambda v: (-degree[v], v))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
+    if 0 in masks:
+        raise ValueError("hyperedges must be nonempty")
+    return masks
 
 
 def covered_profile(hyperedges) -> tuple[int, ...]:
@@ -269,56 +290,81 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
 
     The one exact counting engine: independence_profile and
     exact.tf_profile/tf_poly are maps over it.  Covered vertices are
-    numbered to bit positions by descending hyperedge degree (ties by
-    vertex), which is the fixed elimination order: the count branches on
-    the first remaining vertex of a component, splits into connected
-    components, memoizes sub-hypergraphs, and closes components of one or
-    two hyperedges by inclusion-exclusion.  Only when some two hyperedges
-    share two or more vertices (never for triangles: their hypergraphs are
-    linear), a branch that includes a vertex drops every hyperedge implied
-    by one that vertex shrank.  A profile is one packed int
-    with count s in bits [s*w, (s+1)*w), w = c + 1 for c covered vertices:
-    no count exceeds 2^c, so sums and products never carry between slots,
-    and convolution is one multiplication.  Entry s counts the s-subsets
-    of the covered vertices; more than MAX_COVERED_VERTICES of them raise
+    numbered to bit positions by renumbered_masks, which fixes the
+    elimination order: the count branches on the first remaining vertex
+    of a component.  A residual of at most two hyperedges closes by
+    inclusion-exclusion.  A larger one is looked up in a memo, keyed by
+    its sorted masks, before it is split into connected components, so a
+    hit costs no split; on a miss it is stored, as one packed int, and so
+    is each part it splits into.  Only when some two hyperedges share two
+    or more vertices (never for triangles: their hypergraphs are linear),
+    a branch that includes a vertex drops every hyperedge implied by one
+    that vertex shrank.  A profile is one packed int with count s in bits
+    [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count exceeds
+    2^c, so sums and products never carry between slots, and convolution
+    is one multiplication.  Entry s counts the s-subsets of the covered
+    vertices; more than MAX_COVERED_VERTICES of them raise
     LimitExceededError, before the cache is consulted.
 
     Equal mask sets have equal profiles, so results are kept in a
     process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
-    tf_poly and independence_profile of one graph count it once.
+    tf_poly and independence_profile of one graph count it once.  A Graph
+    keeps its masks per clique order (clique_profile), so tf_profile and
+    tf_poly of one graph list its cliques once.
     """
-    degree = Counter(v for e in hyperedges for v in e)
-    if len(degree) > MAX_COVERED_VERTICES:
-        raise LimitExceededError(
-            f"{len(degree)} covered vertices (for a graph: its edges in some "
-            f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
-            "use Monte Carlo estimation instead"
-        )
-    order = sorted(degree, key=lambda v: (-degree[v], v))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
-    if 0 in masks:
-        raise ValueError("hyperedges must be nonempty")
+    return _mask_profile(renumbered_masks(hyperedges))
+
+
+def clique_profile(g: Graph, clique_order: int) -> tuple[int, ...]:
+    """covered_profile of the K_k copies of g.  Their masks are listed and
+    built once per (graph, clique order) and kept on g; the covered limit
+    is checked on every call, before the cache is consulted, and a graph
+    over it keeps nothing."""
+    masks = g._clique_masks.get(clique_order)
+    if masks is None:
+        masks = renumbered_masks(clique_edge_indices(g, clique_order))
+        g._clique_masks[clique_order] = masks
+    else:
+        _check_covered(max(masks, default=0).bit_length())
     return _mask_profile(masks)
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _mask_profile(masks: frozenset[int]) -> tuple[int, ...]:
     """covered_profile of distinct nonempty masks covering bits 0..c-1."""
-    c = _union(masks).bit_count()
+    union = _union(masks)
+    c = union.bit_count()
     w = c + 1
     rows = [(1 + (1 << w)) ** f for f in range(c + 1)]
     overlap = max(((a & b).bit_count() for a, b in combinations(masks, 2)), default=0)
-    packed, _ = _profile_over(list(masks), {}, w, rows, overlap)
+    packed = _profile_over(list(masks), union, {}, w, rows, overlap)
     mask = (1 << w) - 1
     return tuple(packed >> (s * w) & mask for s in range(c + 1))
 
 
+def _packed_bytes(counts, width: int) -> int:
+    """counts as one int, count s in bytes [s*width, (s+1)*width)."""
+    chunks = map(int.to_bytes, counts, repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(chunks), "little")
+
+
 def add_free_vertices(core, vertex_count: int) -> tuple[int, ...]:
     """Counts over vertex_count vertices from the counts over the covered
-    ones: each uncovered vertex is free, a binomial convolution."""
+    ones: each free (uncovered) vertex may be in or out, so the counts are
+    the core's times (1 + x)^free.  Both factors are packed into slots of
+    whole bytes, wide enough for 2^vertex_count so that nothing carries,
+    and multiplied once; the factor's slots are the binomial row, by
+    C(f, s + 1) = C(f, s) (f - s) / (s + 1)."""
     free = vertex_count - (len(core) - 1)
-    return _convolve(core, _binomial_row(free)) if free else tuple(core)
+    if not free:
+        return tuple(core)
+    row = [1]
+    for s in range(free):
+        row.append(row[-1] * (free - s) // (s + 1))
+    width = vertex_count // 8 + 1
+    product = _packed_bytes(core, width) * _packed_bytes(row, width)
+    data = product.to_bytes(width * (vertex_count + 1), "little")
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
 def independence_profile(h: CliqueHypergraph) -> IndependenceProfile:

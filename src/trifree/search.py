@@ -144,17 +144,19 @@ class RootInterval:
 
 
 def _bisect_roots(
-    poly: Poly, chain: list[Poly], lo: Fraction, hi: Fraction, vlo: int, vhi: int
+    poly: Poly, chain: list[Poly], lo: Fraction, hi: Fraction, vlo: int, vhi: int,
+    width: Fraction = ROOT_WIDTH,
 ) -> list[RootInterval]:
     """isolate_roots on the Sturm chain of poly, given the variation counts
-    vlo and vhi of that chain at lo and hi, neither a root of poly."""
+    vlo and vhi of that chain at lo and hi, neither a root of poly; each
+    interval is at most width wide."""
     out: list[RootInterval] = []
 
     def split(a: Fraction, b: Fraction, va: int, vb: int):
         k = va - vb
         if k == 0:
             return
-        if k == 1 and b - a <= ROOT_WIDTH:
+        if k == 1 and b - a <= width:
             out.append(RootInterval(a, b))
             return
         mid = (a + b) / 2
@@ -263,6 +265,42 @@ def _interior_roots(diff: Poly) -> list[RootInterval]:
     return _bisect_roots(reduced, chain, lo, hi, at_zero, at_one)
 
 
+def _separate(crossings: dict[tuple[Poly, Poly], list[RootInterval]]) -> bool:
+    """Halve overlapping crossing intervals of different pairs, in place,
+    until they are disjoint.  Two that enclose one common root (the gcd of
+    the two differences has a root where they overlap; their ends are
+    roots of neither) cannot separate and stay.  True iff any changed."""
+    changed, shared = False, set()
+    while True:
+        spans = sorted(
+            ((r.lo, r.hi, pair, i) for pair, rs in crossings.items() for i, r in enumerate(rs)),
+            key=lambda span: span[:2],
+        )
+        clash = None
+        for j, a in enumerate(spans):
+            for b in spans[j + 1 :]:
+                if b[0] >= a[1] or clash:
+                    break
+                if b[2] == a[2] or (a, b) in shared:
+                    continue
+                f, g = a[2][0] - a[2][1], b[2][0] - b[2][1]
+                while not g.is_zero():
+                    f, g = g, f.primitive_rem(g)
+                chain = _sturm_chain(f)
+                if _sign_variations(chain, b[0]) > _sign_variations(chain, min(a[1], b[1])):
+                    shared.add((a, b))
+                else:
+                    clash = a, b
+        if clash is None:
+            return changed
+        for lo, hi, pair, i in clash:
+            diff = pair[0] - pair[1]
+            chain = _sturm_chain(diff)
+            v = _sign_variations(chain, lo), _sign_variations(chain, hi)
+            (crossings[pair][i],) = _bisect_roots(diff, chain, lo, hi, *v, (hi - lo) / 2)
+        changed = True
+
+
 @dataclass(frozen=True)
 class EnvelopeSegment:
     lo: Fraction
@@ -300,13 +338,15 @@ def _cut(r: RootInterval) -> Fraction:
 def envelope(n: int, i: int) -> EnvelopeReport:
     """Which classes attain the maximum probability as p sweeps (0, 1).
 
-    Exact by winner extension, up to the 10^-12 width of a crossing
-    interval.  Between two cuts, the unique maximum w at a rational probe
-    wins up to its nearest crossing (a root of w - q, isolated by Sturm
-    chains once per pair) on each side, and each side left over splits
-    the same way.  A cut is the midpoint of its crossing interval; a
-    crossing whose interval holds a cut counts as that cut.  The probe
-    moves toward the left cut off ties and crossing intervals.  Output for
+    Exact by winner extension.  Between two cuts, the unique maximum w at
+    a rational probe wins up to its nearest crossing (a root of w - q,
+    isolated by Sturm chains once per pair) on each side, and each side
+    left over splits the same way.  A cut is the midpoint of its crossing
+    interval; a crossing whose interval holds a cut counts as that cut.
+    The probe moves toward the left cut off ties and crossing intervals.
+    Overlapping crossing intervals are refined until they separate
+    (_separate) and the sweep reruns, so a winner narrower than the
+    10^-12 isolation width is found.  Output for
     surplus i > 1 is exploratory data: outside the proven i = 1 case there
     is no closed-form claim to check it against.
     """
@@ -349,10 +389,13 @@ def envelope(n: int, i: int) -> EnvelopeReport:
         names = tuple(sorted(by_poly[w]))
         return pieces(lo, left) + [(left, right, names)] + pieces(right, hi)
 
+    ends = RootInterval(Fraction(0), Fraction(0)), RootInterval(Fraction(1), Fraction(1))
+    found = pieces(*ends)
+    while _separate(crossings):
+        found = pieces(*ends)
     segments: list[EnvelopeSegment] = []
     crossovers: list[RootInterval] = []
-    ends = RootInterval(Fraction(0), Fraction(0)), RootInterval(Fraction(1), Fraction(1))
-    for lo, hi, names in pieces(*ends):
+    for lo, hi, names in found:
         if segments and segments[-1].maximizers == names:
             segments[-1] = EnvelopeSegment(segments[-1].lo, _cut(hi), names)
         else:

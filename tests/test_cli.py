@@ -286,7 +286,7 @@ def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
     def no_counting(*args):
         raise AssertionError("exact counting ran before --p was parsed")
 
-    monkeypatch.setattr("trifree.exact.covered_profile", no_counting)
+    monkeypatch.setattr("trifree.exact.clique_profile", no_counting)
     code, out, err = run_cli(capsys, ["phi", "--graph", "K:3,3", "--p", "1/0"])
     assert code == 2
     assert out == ""

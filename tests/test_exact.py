@@ -28,7 +28,7 @@ from trifree import (
 )
 from trifree.exact import _core_poly
 from trifree.graphs import clique_edge_indices
-from trifree.hypergraph import _mask_profile, covered_profile
+from trifree.hypergraph import _mask_profile, covered_profile, renumbered_masks
 
 P_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -235,3 +235,68 @@ def test_profile_clique_order_beyond_any_copy():
     # no K5 in K4: profile is the full binomial row
     prof = tf_profile(complete_graph(4), clique_order=5)
     assert prof.counts == tuple(comb(6, s) for s in range(7))
+
+
+def counted_cliques(monkeypatch) -> list[int]:
+    """Record the clique order of every graphs.cliques call from now on."""
+    from trifree import graphs
+
+    orders = []
+
+    def counted(g, k):
+        orders.append(k)
+        return listing(g, k)
+
+    listing = graphs.cliques
+    monkeypatch.setattr(graphs, "cliques", counted)
+    return orders
+
+
+def test_graph_lists_its_cliques_once_per_clique_order(monkeypatch):
+    g = mantel_plus_one(7)
+    fresh = {k: build_graph(7, g.edges) for k in (3, 4)}
+    want = {k: (tf_profile(h, k), tf_poly(h, k)) for k, h in fresh.items()}
+    orders = counted_cliques(monkeypatch)
+    for k in (3, 4):
+        _mask_profile.cache_clear()
+        assert tf_profile(g, k) == want[k][0]
+        assert tf_poly(g, k) == want[k][1]
+        assert tf_profile(g, k) == want[k][0]
+    assert orders == [3, 4]
+    # the cached masks also serve an evicted profile without a new listing
+    _mask_profile.cache_clear()
+    assert tf_poly(g, 3) == want[3][1]
+    assert orders == [3, 4]
+
+
+def test_clique_orders_never_share_masks(monkeypatch):
+    # K5 at k = 3 and k = 4 have the same 10 covered edges but other masks
+    g = complete_graph(5)
+    orders = counted_cliques(monkeypatch)
+    assert tf_profile(g, 3).counts == subset_tf_profile(g, 3)
+    assert tf_profile(g, 4).counts == subset_tf_profile(g, 4)
+    assert tf_poly(g, 3) == tf_poly(complete_graph(5), 3)
+    assert tf_poly(g, 4) == tf_poly(complete_graph(5), 4)
+    assert orders[:2] == [3, 4] and orders.count(3) == orders.count(4) == 2
+    masks = g._clique_masks
+    assert sorted(masks) == [3, 4]
+    assert masks[3] != masks[4]
+    assert masks[3] == renumbered_masks(clique_edge_indices(g, 3))
+    assert masks[4] == renumbered_masks(clique_edge_indices(g, 4))
+
+
+def test_graph_over_the_covered_limit_keeps_no_masks(monkeypatch):
+    g = complete_graph(9)
+    orders = counted_cliques(monkeypatch)
+    for call in (tf_profile, tf_poly, tf_profile):
+        with pytest.raises(LimitExceededError, match="^36 covered"):
+            call(g)
+        assert g._clique_masks == {}
+    assert orders == [3, 3, 3]  # listed anew each time: nothing was kept
+    assert _mask_profile.cache_info().currsize == 0
+    # kept masks and a cached profile do not skip the limit check
+    k7 = complete_graph(7)
+    tf_poly(k7)
+    monkeypatch.setattr("trifree.hypergraph.MAX_COVERED_VERTICES", 20)
+    with pytest.raises(LimitExceededError, match="^21 covered"):
+        tf_profile(k7)

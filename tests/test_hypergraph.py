@@ -32,6 +32,7 @@ from trifree.hypergraph import (
     PROFILE_CACHE_SIZE,
     _count_component,
     _mask_profile,
+    add_free_vertices,
     clique_edge_indices,
     covered_profile,
 )
@@ -241,6 +242,34 @@ def test_packed_slot_width_at_the_limit():
     assert covered_profile([tuple(range(30))]) == expected
 
 
+def schoolbook_free_vertices(core, vertex_count):
+    free = vertex_count - (len(core) - 1)
+    out = [0] * (vertex_count + 1)
+    for i, x in enumerate(core):
+        for j in range(free + 1):
+            out[i + j] += x * comb(free, j)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("c", [0, 1, 7, 30])
+@pytest.mark.parametrize("free", [0, 1, 2, 9, 500])
+def test_add_free_vertices_matches_the_schoolbook_convolution(c, free):
+    # counts at and just under 2^c fill every slot to the top: the product
+    # slots of 2^(c + free) must not carry into their neighbours
+    rng = random.Random(c * 1000 + free)
+    cores = [
+        tuple(comb(c, s) for s in range(c + 1)),
+        (1 << c,) * (c + 1),
+        tuple((1 << c) - rng.randrange(3) for _ in range(c + 1)),
+        tuple(rng.randrange((1 << c) + 1) for _ in range(c + 1)),
+    ]
+    for core in cores:
+        got = add_free_vertices(core, c + free)
+        assert got == schoolbook_free_vertices(core, c + free), core
+        assert len(got) == c + free + 1
+        assert all(type(x) is int for x in got)
+
+
 def test_covered_profile_is_invariant_under_relabeling():
     # the elimination order follows degrees and labels; the counts may not
     rng = random.Random(21)
@@ -259,6 +288,7 @@ def test_covered_profile_is_invariant_under_relabeling():
 
 
 def test_one_and_two_hyperedge_components_close_without_recursion(monkeypatch):
+    # at most two hyperedges close by inclusion-exclusion: no branching call
     count = 0
 
     def counted(*args):
@@ -275,17 +305,22 @@ def test_one_and_two_hyperedge_components_close_without_recursion(monkeypatch):
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
     for a in range(1, 7):
         want = brute_independence_profile(a, [range(a)])
-        assert cold_profile_and_calls([range(a)]) == (want, 1)
+        assert cold_profile_and_calls([range(a)]) == (want, 0)
         for b in range(1, 7):
             for overlap in range(1, min(a, b) + 1):
                 pair = [range(a), range(a - overlap, a - overlap + b)]
                 want = brute_independence_profile(a - overlap + b, pair)
-                assert cold_profile_and_calls(pair) == (want, 1), (a, b, overlap)
+                assert cold_profile_and_calls(pair) == (want, 0), (a, b, overlap)
+        # two disjoint hyperedges close the same way, with no split
+        pair = [range(a), range(a, 2 * a)]
+        assert cold_profile_and_calls(pair) == (brute_independence_profile(2 * a, pair), 0)
 
 
-@pytest.mark.parametrize("k, calls", [(3, 1676), (4, 2259)])
+@pytest.mark.parametrize("k, calls", [(3, 883), (4, 1147)])
 def test_branching_tree_size_is_pinned(monkeypatch, k, calls):
-    # a change to the branching tree (pivot, components, memo) shows here
+    # a change to the branching tree (pivot, components, memo) shows here;
+    # _count_component runs once per memo miss of three or more hyperedges
+    # in one component
     count = 0
 
     def counted(*args):
@@ -336,8 +371,9 @@ def check_uniform_against_brute_force(monkeypatch, hedges) -> int:
 
 def test_include_branch_drops_an_implied_hyperedge(monkeypatch):
     # including vertex 0 shrinks {0, 1, 2} to {1, 2}, which implies {1, 2, 3};
-    # what is left is two one-hyperedge components (5 calls without the drop)
-    assert check_uniform_against_brute_force(monkeypatch, [(0, 1, 2), (1, 2, 3), (0, 3, 4)]) == 4
+    # what is left is two one-hyperedge components, which close with no
+    # branching call (2 calls without the drop: {1, 2}, {1, 2, 3}, {3, 4})
+    assert check_uniform_against_brute_force(monkeypatch, [(0, 1, 2), (1, 2, 3), (0, 3, 4)]) == 1
 
 
 def test_covered_profile_matches_brute_force_on_overlapping_hyperedges(monkeypatch):
@@ -374,7 +410,7 @@ def disjoint_cliques(*orders: int):
     return build_graph(base, edges)
 
 
-@pytest.mark.parametrize("k, calls", [(3, 61), (4, 27)])
+@pytest.mark.parametrize("k, calls", [(3, 34), (4, 12)])
 def test_branching_tree_size_is_pinned_on_disjoint_blocks(monkeypatch, k, calls):
     # K5 + K5 + K4 splits into components at the top level, as K7 never does
     count = 0

@@ -411,11 +411,6 @@ def test_envelope_merges_a_winner_that_only_touches_a_rival(monkeypatch):
     assert env.crossovers == ()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND (CHANGES.md): envelope cannot report a winner whose stretch "
-    "is narrower than a 10^-12 crossing interval",
-)
 def test_envelope_reports_a_winner_narrower_than_a_crossing_interval(monkeypatch):
     # 10^14 p - 5*10^13 beats 0 above 1/2 and 2*10^14 p - 10^14 - 2 below
     # 1/2 + 2*10^-14, so it alone wins on (1/2, 1/2 + 2*10^-14)
@@ -429,6 +424,29 @@ def test_envelope_reports_a_winner_narrower_than_a_crossing_interval(monkeypatch
     monkeypatch.setattr(search, "write_graph6", lambda g: g)
     env = envelope(2, 0)
     assert [seg.maximizers for seg in env.segments] == [("a",), ("b",), ("c",)]
+    # the two overlapping crossing intervals were refined until they separated
+    first, second = env.crossovers
+    assert first.lo < Fraction(1, 2) < first.hi
+    assert first.hi < second.lo
+    assert second.lo < Fraction(1, 2) + Fraction(2, 10**14) < second.hi
+
+
+def test_envelope_leaves_crossings_through_one_point_unrefined(monkeypatch):
+    # a, b and c all meet at 1/2: their crossing intervals share that root
+    # and cannot separate, so they stay at the isolation width
+    fakes = {
+        "a": Poly.zero(),
+        "b": Poly((-5 * 10**13, 10**14)),
+        "c": Poly((-(10**14), 2 * 10**14)),
+    }
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    monkeypatch.setattr(search, "write_graph6", lambda g: g)
+    env = envelope(2, 0)
+    assert [seg.maximizers for seg in env.segments] == [("a",), ("c",)]
+    (crossing,) = env.crossovers
+    assert crossing.lo < Fraction(1, 2) < crossing.hi
+    assert crossing == search._interior_roots(fakes["c"] - fakes["a"])[0]
 
 
 # sha256 of the envelope JSON at every (n, i), n <= 8, that has a crossover
