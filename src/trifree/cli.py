@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -239,20 +238,11 @@ def cmd_envelope(args) -> int:
     return EXIT_OK
 
 
-def _jobs_from_env() -> int:
-    text = os.environ.get("TRIFREE_JOBS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"TRIFREE_JOBS must be an integer, got {text!r}") from None
-
-
 def cmd_mc(args) -> int:
-    jobs = _jobs_from_env() if args.jobs is None else args.jobs
     g = _graph_from_args(args)
     p, _ = parse_probability(args.p)
     est = montecarlo.estimate_tf(
-        g, p, args.samples, args.seed, clique_order=args.k, jobs=jobs
+        g, p, args.samples, args.seed, clique_order=args.k, jobs=args.jobs
     )
     payload = est.to_json()
     lines = [
@@ -330,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--k", type=int, default=3, help="forbidden clique order")
-    p_mc.add_argument("--jobs", type=int,
-                      help="worker threads (default: $TRIFREE_JOBS, else 1)")
+    p_mc.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     p_mc.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p_mc.set_defaults(func=cmd_mc)
 

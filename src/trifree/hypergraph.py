@@ -91,9 +91,8 @@ class IndependenceProfile:
 
 
 def from_graph(g: Graph, clique_order: int = 3) -> CliqueHypergraph:
-    """Hypergraph on the edges of g with one hyperedge per K_k copy."""
-    if clique_order < 3:
-        raise ValueError("clique order must be at least 3")
+    """Hypergraph on the edges of g with one hyperedge per K_k copy, for
+    every k >= 2, the rule of clique_edge_indices on every graph route."""
     return CliqueHypergraph(g.m, tuple(clique_edge_indices(g, clique_order)), clique_order)
 
 
@@ -260,15 +259,6 @@ def _profile_over(hedges, union: int, memo: dict, w: int, rows: list[int], overl
     return result
 
 
-def _check_covered(count: int) -> None:
-    if count > MAX_COVERED_VERTICES:
-        raise LimitExceededError(
-            f"{count} covered vertices (for a graph: its edges in some "
-            f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
-            "use Monte Carlo estimation instead"
-        )
-
-
 def renumbered_masks(hyperedges) -> frozenset[int]:
     """The hyperedges as distinct bit masks over their covered vertices,
     numbered by descending hyperedge degree (ties by vertex): the fixed
@@ -276,7 +266,12 @@ def renumbered_masks(hyperedges) -> frozenset[int]:
     covered vertices raise LimitExceededError, before any mask is built;
     an empty hyperedge raises ValueError."""
     degree = Counter(v for e in hyperedges for v in e)
-    _check_covered(len(degree))
+    if len(degree) > MAX_COVERED_VERTICES:
+        raise LimitExceededError(
+            f"{len(degree)} covered vertices (for a graph: its edges in some "
+            f"K_k copy) exceeds the exact limit {MAX_COVERED_VERTICES}; "
+            "use Monte Carlo estimation instead"
+        )
     order = sorted(degree, key=lambda v: (-degree[v], v))
     bit = {v: 1 << i for i, v in enumerate(order)}
     masks = frozenset(_union(bit[v] for v in e) for e in hyperedges)
@@ -303,8 +298,9 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count exceeds
     2^c, so sums and products never carry between slots, and convolution
     is one multiplication.  Entry s counts the s-subsets of the covered
-    vertices; more than MAX_COVERED_VERTICES of them raise
-    LimitExceededError, before the cache is consulted.
+    vertices.  The covered limit has one check, made when the masks are
+    built: more than MAX_COVERED_VERTICES covered vertices raise
+    LimitExceededError in renumbered_masks, before the cache is consulted.
 
     Equal mask sets have equal profiles, so results are kept in a
     process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
@@ -316,16 +312,15 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
 
 
 def clique_profile(g: Graph, clique_order: int) -> tuple[int, ...]:
-    """covered_profile of the K_k copies of g.  Their masks are listed and
-    built once per (graph, clique order) and kept on g; the covered limit
-    is checked on every call, before the cache is consulted, and a graph
-    over it keeps nothing."""
+    """covered_profile of the K_k copies of g, for every k >= 2 (the rule
+    of clique_edge_indices).  Their masks are listed and built once per
+    (graph, clique order) and kept on g.  The covered limit is checked
+    when the masks are built, in renumbered_masks: a graph over it keeps
+    nothing, so kept masks are always within it."""
     masks = g._clique_masks.get(clique_order)
     if masks is None:
         masks = renumbered_masks(clique_edge_indices(g, clique_order))
         g._clique_masks[clique_order] = masks
-    else:
-        _check_covered(max(masks, default=0).bit_length())
     return _mask_profile(masks)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import linear_triple_bound, one_extra_edge_optimum
+from .bounds import linear_triple_bound, mantel_max_edges, one_extra_edge_optimum
 from .enumeration import class_names, enumerate_graphs
 from .exact import tf_poly
 from .graphs import (
@@ -73,7 +73,7 @@ def maximize_tf(n: int, i: int, p, prune: bool = False) -> SearchReport:
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     started = time.perf_counter()
-    m = n * n // 4 + i
+    m = mantel_max_edges(n) + i
     reps = enumerate_graphs(n, m)
 
     best: Fraction | None = None
@@ -350,7 +350,7 @@ def envelope(n: int, i: int) -> EnvelopeReport:
     surplus i > 1 is exploratory data: outside the proven i = 1 case there
     is no closed-form claim to check it against.
     """
-    m = n * n // 4 + i
+    m = mantel_max_edges(n) + i
     reps = enumerate_graphs(n, m)
     by_poly: dict[Poly, list[str]] = {}
     for g in reps:
@@ -443,7 +443,7 @@ def verify_one_extra_optimum(n: int) -> OptimumVerification:
     construction.  Exhaustive for every n the enumeration supports
     (3 <= n <= 8); verify_one_extra_capped proves the claim for every p.
     """
-    m = n * n // 4 + 1
+    m = mantel_max_edges(n) + 1
     reps = enumerate_graphs(n, m)
     p_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
     target = one_extra_edge_optimum(n)
@@ -499,7 +499,7 @@ def verify_one_extra_capped(n: int) -> CappedVerification:
     target = one_extra_edge_optimum(n)
     built = mantel_plus_one(n)
     construction = canonical_form(built).decode("ascii")
-    capped = tuple(class_names(n, n * n // 4 + 1, cap))
+    capped = tuple(class_names(n, mantel_max_edges(n) + 1, cap))
     is_optimum = tf_poly(built) == target
     gap = target - linear_triple_bound(cap + 1)
     below = not _interior_roots(gap) and gap.eval(Fraction(1, 2)) > 0

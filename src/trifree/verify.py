@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bounds import CheckReport, linear_triple_bound, ls_min_triangles
+from .bounds import CheckReport, linear_triple_bound, ls_min_triangles, mantel_max_edges
 from .enumeration import enumerate_graphs
 from .exact import tf_poly
 from .graphs import triangle_count, two_extra_edge_candidates
@@ -67,7 +67,7 @@ def check_one_extra_capped(n: int) -> list[CheckReport]:
 def check_ls(n: int, i: int) -> list[CheckReport]:
     """Triangle lower bound over every class at the given surplus."""
     bound = ls_min_triangles(n, i)
-    m = n * n // 4 + i
+    m = mantel_max_edges(n) + i
     reps = enumerate_graphs(n, m)
     worst = min(triangle_count(g) for g in reps) if reps else 0
     claim = f"n={n}, i={i}: every graph with {m} edges has >= {bound.count} triangles"

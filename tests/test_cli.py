@@ -56,7 +56,7 @@ def test_parse_probability():
 
 
 @pytest.mark.parametrize("command", ["phi", "mc"])
-@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1/2.5"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1/2.5", "1.x"])
 def test_unparsable_probability_exit_2(capsys, command, bad):
     code, out, err = run_cli(capsys, [command, "--graph", "K:3,3", "--p", bad])
     assert code == 2
@@ -276,6 +276,24 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "graph6, message",
+    [("!", "unsupported graph6 header (n=-30)"), ("Bx", "nonzero padding bits")],
+)
+def test_bad_graph6_exit_2_naming_the_fault(capsys, graph6, message):
+    code, out, err = run_cli(capsys, ["phi", "--graph", graph6])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_search_without_vertices_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["search", "--n", "0", "--i", "1", "--p", "1/2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one vertex\n"
+
+
 def test_phi_p_out_of_range_exit_2(capsys):
     code, _, err = run_cli(capsys, ["phi", "--graph", "Bw", "--p", "3/2"])
     assert code == 2
@@ -382,38 +400,26 @@ def test_mc_records_the_clique_order(capsys):
         assert row.split(",")[-1] == k
 
 
-def test_mc_bad_trifree_jobs_exit_2(capsys, monkeypatch):
+def test_mc_ignores_trifree_jobs(capsys, monkeypatch):
+    # --jobs is the one worker setting: the environment changes nothing
     argv = ["mc", "--graph", "mantel+1:6", "--p", "1/2", "--samples", "100"]
+    monkeypatch.delenv("TRIFREE_JOBS", raising=False)
+    code, unset, _ = run_cli(capsys, argv)
+    assert code == 0
     monkeypatch.setenv("TRIFREE_JOBS", "abc")
     code, out, err = run_cli(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "TRIFREE_JOBS" in err
-    # an explicit --jobs wins, and other commands never read the variable
-    code, _, _ = run_cli(capsys, argv + ["--jobs", "2"])
     assert code == 0
-    code, _, _ = run_cli(capsys, ["phi", "--graph", "Bw"])
-    assert code == 0
-    monkeypatch.setenv("TRIFREE_JOBS", "2")
-    code, from_env, _ = run_cli(capsys, argv)
-    assert code == 0
-    monkeypatch.delenv("TRIFREE_JOBS")
-    code, default, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert from_env == default
+    assert err == ""
+    assert out == unset
 
 
-def test_mc_jobs_below_one_exit_2(capsys, monkeypatch):
+def test_mc_jobs_below_one_exit_2(capsys):
     argv = ["mc", "--graph", "mantel+1:6", "--p", "1/2", "--samples", "100"]
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, argv + ["--jobs", jobs])
         assert code == 2, jobs
         assert out == ""
         assert err.startswith("error:") and "jobs" in err, jobs
-    monkeypatch.setenv("TRIFREE_JOBS", "0")
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2
-    assert err.startswith("error:")
 
 
 def test_verify_command_pass_and_fail(capsys):

@@ -294,9 +294,3 @@ def test_graph_over_the_covered_limit_keeps_no_masks(monkeypatch):
         assert g._clique_masks == {}
     assert orders == [3, 3, 3]  # listed anew each time: nothing was kept
     assert _mask_profile.cache_info().currsize == 0
-    # kept masks and a cached profile do not skip the limit check
-    k7 = complete_graph(7)
-    tf_poly(k7)
-    monkeypatch.setattr("trifree.hypergraph.MAX_COVERED_VERTICES", 20)
-    with pytest.raises(LimitExceededError, match="^21 covered"):
-        tf_profile(k7)

@@ -87,8 +87,34 @@ def test_from_graph_examples():
     assert h3.vertex_count == 6
     assert h3.hyperedges == ((0, 1, 2, 3, 4, 5),)
 
-    with pytest.raises(ValueError):
-        from_graph(complete_graph(4), clique_order=2)
+    # k = 2: every edge is a one-vertex hyperedge, kept by no K_2-free subset
+    h4 = from_graph(complete_graph(4), clique_order=2)
+    assert h4.vertex_count == 6
+    assert h4.hyperedges == tuple((e,) for e in range(6))
+    assert independence_profile(h4).counts == tf_profile(complete_graph(4), 2).counts
+
+
+def test_from_graph_profile_matches_tf_profile():
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        g = random_graph(n, rng.randint(0, comb(n, 2)), rng)
+        for k in range(2, 6):
+            h = from_graph(g, k)
+            assert independence_profile(h).counts == tf_profile(g, k).counts, (g.edges, k)
+
+
+def test_clique_order_one_is_rejected_on_every_graph_route():
+    k4 = complete_graph(4)
+    calls = (
+        lambda: tf_profile(k4, 1),
+        lambda: tf_poly(k4, 1),
+        lambda: from_graph(k4, 1),
+        lambda: estimate_tf(k4, Fraction(1, 2), 10, seed=0, clique_order=1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^clique order must be at least 2$"):
+            call()
 
 
 def test_clique_edge_indices():
@@ -127,6 +153,8 @@ def test_flower_shape():
     assert f3.vertex_count == 7
     assert is_linear(f3)
     assert all(0 in e for e in f3.hyperedges)
+    with pytest.raises(ValueError, match="edge count must be nonnegative"):
+        flower(-1)
 
 
 def test_flower3_matches_covered_part_of_mantel6():
@@ -150,6 +178,8 @@ def test_random_linear_hypergraph():
     assert random_linear_hypergraph(12, 0, seed=9).edge_count == 0
     with pytest.raises(ValueError):
         random_linear_hypergraph(3, 2, seed=5)
+    with pytest.raises(ValueError, match="need at least 3 vertices"):
+        random_linear_hypergraph(2, 1, seed=0)
 
 
 def test_independence_profile_brute_force(small_corpus):

@@ -32,6 +32,15 @@ def test_arithmetic():
 def test_one_minus_x_power():
     assert Poly.one_minus_x_power(0) == Poly.one()
     assert Poly.one_minus_x_power(3).coeffs == (1, -3, 3, -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.one_minus_x_power(-1)
+
+
+def test_power():
+    assert Poly((1, 1)) ** 3 == Poly((1, 3, 3, 1))
+    assert Poly((2, -1)) ** 0 == Poly.one()
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly((1, 1)) ** -1
 
 
 def test_eval_horner():

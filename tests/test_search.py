@@ -35,7 +35,7 @@ from trifree import (
     write_graph6,
 )
 from trifree import search
-from trifree.enumeration import class_names
+from trifree.enumeration import _class_memo, class_names
 from trifree.search import _interior_roots
 
 
@@ -96,6 +96,21 @@ def test_capped_recursion_matches_filtered_ladder():
                 want = [g6 for g6 in levels[m] if counts[g6] <= cap]
                 assert class_names(n, m, cap) == want, (n, m, cap)
     assert class_names(1, 1) == class_names(3, 4) == []
+
+
+def test_class_names_past_the_canonical_limit_computes_nothing():
+    # the limit is a time guard: it fires before any level is listed
+    before = dict(_class_memo)
+    for m in (0, 3, 28):
+        with pytest.raises(LimitExceededError, match="canonical form supports n <= 10"):
+            class_names(11, m)
+    assert _class_memo == before
+
+
+def test_enumerate_graphs_without_vertices_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            enumerate_graphs(n, 0)
 
 
 @pytest.mark.slow
@@ -447,6 +462,29 @@ def test_envelope_leaves_crossings_through_one_point_unrefined(monkeypatch):
     (crossing,) = env.crossovers
     assert crossing.lo < Fraction(1, 2) < crossing.hi
     assert crossing == search._interior_roots(fakes["c"] - fakes["a"])[0]
+
+
+def test_envelope_keeps_a_shared_crossing_while_it_refines_a_clash(monkeypatch):
+    # d, e and f all meet at 1/4, and their crossing intervals, sorted
+    # first, share that root; the narrow winner b near 1/2 (as above)
+    # clashes, so the separation reruns past the pairs already known shared
+    fakes = {
+        "a": Poly.zero(),
+        "b": Poly((-5 * 10**13, 10**14)),
+        "c": Poly((-(10**14) - 2, 2 * 10**14)),
+        "d": Poly((12, -32)),
+        "e": Poly((10, -24)),
+        "f": Poly((9, -20)),
+    }
+    monkeypatch.setattr(search, "enumerate_graphs", lambda n, m: list(fakes))
+    monkeypatch.setattr(search, "tf_poly", fakes.__getitem__)
+    monkeypatch.setattr(search, "write_graph6", lambda g: g)
+    env = envelope(2, 0)
+    assert [seg.maximizers for seg in env.segments] == [("d",), ("f",), ("a",), ("b",), ("c",)]
+    shared, _, first, second = env.crossovers
+    assert shared == search._interior_roots(fakes["f"] - fakes["d"])[0]
+    assert first.lo <= Fraction(1, 2) <= first.hi < second.lo
+    assert second.lo < Fraction(1, 2) + Fraction(2, 10**14) < second.hi
 
 
 # sha256 of the envelope JSON at every (n, i), n <= 8, that has a crossover
