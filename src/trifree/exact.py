@@ -8,18 +8,18 @@ where tf(G, s) counts s-edge subsets containing no K_k (triangles by
 default).  An edge subset is K_k-free exactly when it is an independent
 vertex set of the clique hypergraph (vertices = edges of G, hyperedges =
 K_k copies), so both maps below run on the one counting engine,
-hypergraph.covered_profile, through hypergraph.clique_profile, which
-keeps each graph's hyperedge masks per clique order.  Only edges lying in some K_k copy matter: an
-edge outside every copy can be kept or dropped freely, which multiplies
-the count profile by a binomial row and leaves the polynomial untouched.
+hypergraph.covered_profile, fed the K_k copies as clique_edge_indices
+lists them.  Only edges lying in some K_k copy matter: an edge outside
+every copy can be kept or dropped freely, which multiplies the count
+profile by a binomial row and leaves the polynomial untouched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import Graph
-from .hypergraph import IndependenceProfile, add_free_vertices, clique_profile
+from .graphs import Graph, clique_edge_indices
+from .hypergraph import IndependenceProfile, add_free_vertices, covered_profile
 from .polynomial import Poly
 
 
@@ -41,7 +41,7 @@ def _core_poly(core: tuple[int, ...]) -> Poly:
 def tf_profile(g: Graph, clique_order: int = 3) -> IndependenceProfile:
     """Exact counts of K_k-free edge subsets by size: the independence
     profile of the clique hypergraph on the m edges of g."""
-    core = clique_profile(g, clique_order)
+    core = covered_profile(clique_edge_indices(g, clique_order))
     return IndependenceProfile(g.m, add_free_vertices(core, g.m))
 
 
@@ -52,7 +52,7 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     Equals sum_s tf(g, s) p^s (1-p)^(m-s); edges outside every copy cancel
     (p + (1-p) = 1), so the degree is at most the covered-edge count.
     """
-    return _core_poly(clique_profile(g, clique_order))
+    return _core_poly(covered_profile(clique_edge_indices(g, clique_order)))
 
 
 def poly_eval(poly: Poly, p) -> Fraction:

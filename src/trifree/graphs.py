@@ -21,9 +21,7 @@ class Graph:
     """Immutable simple graph; construct via :func:`build_graph` or the
     named constructors below."""
 
-    # _clique_masks: the engine's hyperedge masks per clique order
-    # (hypergraph.clique_profile), filled on first use
-    __slots__ = ("n", "adj", "edges", "_edge_index", "_clique_masks")
+    __slots__ = ("n", "adj", "edges", "_edge_index")
 
     def __init__(self, n: int, edges):
         if not 1 <= n <= MAX_VERTICES:
@@ -49,7 +47,6 @@ class Graph:
         self.adj = tuple(adj)
         self.edges = tuple(norm)
         self._edge_index = {e: i for i, e in enumerate(norm)}
-        self._clique_masks: dict[int, frozenset[int]] = {}
 
     @property
     def m(self) -> int:
@@ -105,7 +102,8 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def complete_graph(k: int) -> Graph:
-    return Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    # a generator: Graph rejects k before any of the k(k-1)/2 pairs exists
+    return Graph(k, ((u, v) for u in range(k) for v in range(u + 1, k)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -184,15 +182,16 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
 
 
 def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
-    """Sorted edge indices of each K_k copy of g, in the order of cliques()."""
+    """Sorted edge indices of each K_k copy of g, in the order of cliques().
+
+    The listing is then lexicographic, the normal form of a
+    CliqueHypergraph, so from_graph keeps it as it is and both routes hand
+    the engine cache one key."""
     if clique_order < 2:
         raise ValueError("clique order must be at least 2")
     # pairs of a sorted clique come in lexicographic order, the index order
-    index = g._edge_index
-    return [
-        tuple(index[e] for e in combinations(members, 2))
-        for members in cliques(g, clique_order)
-    ]
+    index = g._edge_index.__getitem__
+    return [tuple(map(index, combinations(members, 2))) for members in cliques(g, clique_order)]
 
 
 # ---------------------------------------------------------------------------

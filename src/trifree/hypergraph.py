@@ -22,7 +22,7 @@ from .errors import LimitExceededError
 from .graphs import Graph, clique_edge_indices
 
 MAX_COVERED_VERTICES = 30  # exact-count limit (for a graph: edges in some K_k copy)
-PROFILE_CACHE_SIZE = 2048  # covered profiles kept per process; >= 1,646 classes at n=8, m=14
+PROFILE_CACHE_SIZE = 2048  # hyperedge listings kept per process; >= 1,646 classes at n=8, m=14
 
 
 @dataclass(frozen=True)
@@ -298,35 +298,24 @@ def covered_profile(hyperedges) -> tuple[int, ...]:
     [s*w, (s+1)*w), w = c + 1 for c covered vertices: no count exceeds
     2^c, so sums and products never carry between slots, and convolution
     is one multiplication.  Entry s counts the s-subsets of the covered
-    vertices.  The covered limit has one check, made when the masks are
-    built: more than MAX_COVERED_VERTICES covered vertices raise
-    LimitExceededError in renumbered_masks, before the cache is consulted.
+    vertices.
 
-    Equal mask sets have equal profiles, so results are kept in a
-    process-wide LRU cache of PROFILE_CACHE_SIZE mask sets: tf_profile,
-    tf_poly and independence_profile of one graph count it once.  A Graph
-    keeps its masks per clique order (clique_profile), so tf_profile and
-    tf_poly of one graph list its cliques once.
+    Results are kept in a process-wide LRU cache of PROFILE_CACHE_SIZE
+    hyperedge listings, and masks are built only on a miss.  Both routes
+    list the K_k copies of a graph alike (clique_edge_indices is in the
+    normal form of CliqueHypergraph), so tf_profile, tf_poly and
+    independence_profile of one graph count it once.  The covered limit
+    has one check, made when the masks are built: more than
+    MAX_COVERED_VERTICES covered vertices raise LimitExceededError in
+    renumbered_masks, and nothing is cached.
     """
-    return _mask_profile(renumbered_masks(hyperedges))
-
-
-def clique_profile(g: Graph, clique_order: int) -> tuple[int, ...]:
-    """covered_profile of the K_k copies of g, for every k >= 2 (the rule
-    of clique_edge_indices).  Their masks are listed and built once per
-    (graph, clique order) and kept on g.  The covered limit is checked
-    when the masks are built, in renumbered_masks: a graph over it keeps
-    nothing, so kept masks are always within it."""
-    masks = g._clique_masks.get(clique_order)
-    if masks is None:
-        masks = renumbered_masks(clique_edge_indices(g, clique_order))
-        g._clique_masks[clique_order] = masks
-    return _mask_profile(masks)
+    return _cached_profile(tuple(map(tuple, hyperedges)))
 
 
 @lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _mask_profile(masks: frozenset[int]) -> tuple[int, ...]:
-    """covered_profile of distinct nonempty masks covering bits 0..c-1."""
+def _cached_profile(hyperedges: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """covered_profile of one hashable hyperedge listing."""
+    masks = renumbered_masks(hyperedges)
     union = _union(masks)
     c = union.bit_count()
     w = c + 1

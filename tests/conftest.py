@@ -39,7 +39,7 @@ from trifree import (
     write_graph6,
 )
 from trifree.graphs import twin_classes
-from trifree.hypergraph import _mask_profile
+from trifree.hypergraph import _cached_profile
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ _CORPUS = _build_corpus()
 def cold_profile_cache():
     """Every test starts on an empty engine cache, so engine call counts
     do not depend on which tests ran before."""
-    _mask_profile.cache_clear()
+    _cached_profile.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from trifree import (
 )
 from trifree.cli import main, parse_probability, resolve_graph
 from trifree.enumeration import class_names
-from trifree.hypergraph import _mask_profile
+from trifree.hypergraph import _cached_profile
 from trifree.verify import check_linear_bound, check_ls, check_one_extra, check_two_extra
 
 
@@ -304,7 +304,7 @@ def test_phi_zero_denominator_exit_2_before_counting(capsys, monkeypatch):
     def no_counting(*args):
         raise AssertionError("exact counting ran before --p was parsed")
 
-    monkeypatch.setattr("trifree.exact.clique_profile", no_counting)
+    monkeypatch.setattr("trifree.exact.covered_profile", no_counting)
     code, out, err = run_cli(capsys, ["phi", "--graph", "K:3,3", "--p", "1/0"])
     assert code == 2
     assert out == ""
@@ -317,12 +317,12 @@ def test_phi_counts_the_covered_core_once(capsys):
     expected = {k: (tf_profile(g, k), tf_poly(g, k)) for k in (3, 4)}
     for k, (prof, poly) in expected.items():
         for fmt in ("json", "text", "csv"):
-            _mask_profile.cache_clear()
+            _cached_profile.cache_clear()
             code, out, _ = run_cli(
                 capsys, ["phi", "--graph", "mantel+1:7", "--k", str(k),
                          "--p", "1/3", "--format", fmt])
             assert code == 0
-            assert _mask_profile.cache_info().misses == 1, fmt
+            assert _cached_profile.cache_info().misses == 1, fmt
             if fmt == "json":
                 payload = json.loads(out)
                 assert payload["profile"] == [str(c) for c in prof.counts]

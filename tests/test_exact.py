@@ -19,6 +19,7 @@ from trifree import (
     enumerate_graphs,
     from_graph,
     independence_probability,
+    independence_profile,
     mantel_plus_one,
     poly_eval,
     tf_poly,
@@ -28,7 +29,7 @@ from trifree import (
 )
 from trifree.exact import _core_poly
 from trifree.graphs import clique_edge_indices
-from trifree.hypergraph import _mask_profile, covered_profile, renumbered_masks
+from trifree.hypergraph import _cached_profile, covered_profile
 
 P_GRID = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10))
 
@@ -178,8 +179,6 @@ def test_poly_sub_and_divides():
 def test_k7_engines_agree_near_limit():
     # 21 and 24 covered edges: too big for the naive oracle, so cross-check
     # the branching engine against the vectorized subset enumeration
-    from trifree import independence_profile
-
     k7 = complete_graph(7)
     k2222 = complete_multipartite(2, 2, 2, 2)
     for g, k in ((k7, 3), (k2222, 4)):
@@ -200,8 +199,6 @@ def test_covered_edge_limit():
 
 
 def test_covered_edge_limit_boundary():
-    from trifree import independence_profile
-
     # ten disjoint triangles: exactly 30 covered edges, at the limit
     at_limit = build_graph(
         30, [(3 * i + a, 3 * i + b) for i in range(10) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -220,13 +217,13 @@ def test_covered_edge_limit_boundary():
         lambda: independence_profile(from_graph(over)),
         lambda: covered_profile(clique_edge_indices(over, 3)),
     )
-    cached = _mask_profile.cache_info().currsize
+    cached = _cached_profile.cache_info().currsize
     messages = set()
     for route in routes:
         with pytest.raises(LimitExceededError, match="^31 covered vertices") as err:
             route()
         messages.add(str(err.value))
-        assert _mask_profile.cache_info().currsize == cached
+        assert _cached_profile.cache_info().currsize == cached
     assert len(messages) == 1
     assert "Monte Carlo" in messages.pop()
 
@@ -252,45 +249,36 @@ def counted_cliques(monkeypatch) -> list[int]:
     return orders
 
 
-def test_graph_lists_its_cliques_once_per_clique_order(monkeypatch):
+def test_graph_is_counted_once_per_clique_order():
+    # both routes key the one engine cache by the same listing of copies
     g = mantel_plus_one(7)
     fresh = {k: build_graph(7, g.edges) for k in (3, 4)}
     want = {k: (tf_profile(h, k), tf_poly(h, k)) for k, h in fresh.items()}
-    orders = counted_cliques(monkeypatch)
     for k in (3, 4):
-        _mask_profile.cache_clear()
+        _cached_profile.cache_clear()
         assert tf_profile(g, k) == want[k][0]
         assert tf_poly(g, k) == want[k][1]
         assert tf_profile(g, k) == want[k][0]
-    assert orders == [3, 4]
-    # the cached masks also serve an evicted profile without a new listing
-    _mask_profile.cache_clear()
-    assert tf_poly(g, 3) == want[3][1]
-    assert orders == [3, 4]
+        assert independence_profile(from_graph(g, k)) == want[k][0]
+        assert _cached_profile.cache_info().misses == 1
 
 
-def test_clique_orders_never_share_masks(monkeypatch):
-    # K5 at k = 3 and k = 4 have the same 10 covered edges but other masks
+def test_clique_orders_are_two_cache_entries():
+    # K5 at k = 3 and k = 4 cover the same 10 edges, by other copies
     g = complete_graph(5)
-    orders = counted_cliques(monkeypatch)
     assert tf_profile(g, 3).counts == subset_tf_profile(g, 3)
     assert tf_profile(g, 4).counts == subset_tf_profile(g, 4)
     assert tf_poly(g, 3) == tf_poly(complete_graph(5), 3)
     assert tf_poly(g, 4) == tf_poly(complete_graph(5), 4)
-    assert orders[:2] == [3, 4] and orders.count(3) == orders.count(4) == 2
-    masks = g._clique_masks
-    assert sorted(masks) == [3, 4]
-    assert masks[3] != masks[4]
-    assert masks[3] == renumbered_masks(clique_edge_indices(g, 3))
-    assert masks[4] == renumbered_masks(clique_edge_indices(g, 4))
+    assert _cached_profile.cache_info().currsize == 2
+    assert _cached_profile.cache_info().misses == 2
 
 
-def test_graph_over_the_covered_limit_keeps_no_masks(monkeypatch):
+def test_graph_over_the_covered_limit_is_never_cached(monkeypatch):
     g = complete_graph(9)
     orders = counted_cliques(monkeypatch)
     for call in (tf_profile, tf_poly, tf_profile):
         with pytest.raises(LimitExceededError, match="^36 covered"):
             call(g)
-        assert g._clique_masks == {}
     assert orders == [3, 3, 3]  # listed anew each time: nothing was kept
-    assert _mask_profile.cache_info().currsize == 0
+    assert _cached_profile.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,21 @@ def test_cliques():
     assert cliques(complete_graph(4), 4) == [(0, 1, 2, 3)]
     assert cliques(complete_bipartite(3, 3), 3) == []
     assert len(cliques(complete_graph(5), 4)) == 5
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="clique order must be positive"):
+            cliques(complete_graph(4), k)
+
+
+def test_complete_graph_rejects_its_size_before_listing_edges():
+    # 2000 vertices would be about two million edge pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count must be in 1..62"):
+            complete_graph(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_form_invariance():

@@ -30,8 +30,8 @@ from trifree.errors import LimitExceededError
 from trifree.graphs import cliques
 from trifree.hypergraph import (
     PROFILE_CACHE_SIZE,
+    _cached_profile,
     _count_component,
-    _mask_profile,
     add_free_vertices,
     clique_edge_indices,
     covered_profile,
@@ -313,7 +313,7 @@ def test_covered_profile_is_invariant_under_relabeling():
         relabel = rng.sample(range(100), vertices)
         moved = [tuple(relabel[v] for v in rng.sample(e, len(e))) for e in hedges]
         rng.shuffle(moved)
-        _mask_profile.cache_clear()
+        _cached_profile.cache_clear()
         assert covered_profile(moved) == profile, case
 
 
@@ -329,7 +329,7 @@ def test_one_and_two_hyperedge_components_close_without_recursion(monkeypatch):
     def cold_profile_and_calls(hedges):
         nonlocal count
         count = 0
-        _mask_profile.cache_clear()
+        _cached_profile.cache_clear()
         return covered_profile([tuple(e) for e in hedges]), count
 
     monkeypatch.setattr("trifree.hypergraph._count_component", counted)
@@ -500,16 +500,16 @@ def test_empty_hyperedge_is_rejected():
     for hedges in ([(), (0, 1)], [()]):
         with pytest.raises(ValueError, match="nonempty"):
             covered_profile(hedges)
-    assert _mask_profile.cache_info().currsize == 0
+    assert _cached_profile.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_warm_cache_serves_poly_and_independence_profile(monkeypatch, k):
     g = complete_graph(7)
     cold_poly = tf_poly(g, k)
-    _mask_profile.cache_clear()
+    _cached_profile.cache_clear()
     cold_hyper = independence_profile(from_graph(g, k))
-    _mask_profile.cache_clear()
+    _cached_profile.cache_clear()
     tf_profile(g, k)
     count = 0
 
@@ -524,21 +524,32 @@ def test_warm_cache_serves_poly_and_independence_profile(monkeypatch, k):
     assert count == 0
 
 
+def test_graph_listing_is_the_hypergraph_normal_form():
+    # tf_profile and independence_profile(from_graph) share one cache
+    # entry only because their listings are equal
+    rng = random.Random(26)
+    for case in range(400):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        for k in range(2, 6):
+            assert tuple(clique_edge_indices(g, k)) == from_graph(g, k).hyperedges, (case, k)
+
+
 def test_evicted_profiles_recount_to_the_oracle():
     rng = random.Random(12)
     first: list[tuple[list, tuple]] = []
-    while _mask_profile.cache_info().misses <= PROFILE_CACHE_SIZE + 100:
+    while _cached_profile.cache_info().misses <= PROFILE_CACHE_SIZE + 100:
         hedges = [
             tuple(rng.sample(range(8), rng.randint(1, 4))) for _ in range(rng.randint(1, 6))
         ]
         profile = covered_profile(hedges)
         if len(first) < 100:
             first.append((hedges, profile))
-    assert _mask_profile.cache_info().currsize == PROFILE_CACHE_SIZE
-    misses = _mask_profile.cache_info().misses
+    assert _cached_profile.cache_info().currsize == PROFILE_CACHE_SIZE
+    misses = _cached_profile.cache_info().misses
     for hedges, profile in first:
         covered = sorted({v for e in hedges for v in e})
         renumbered = [tuple(covered.index(v) for v in e) for e in hedges]
         assert covered_profile(hedges) == profile
         assert profile == brute_independence_profile(len(covered), renumbered)
-    assert _mask_profile.cache_info().misses > misses  # the oldest were evicted
+    assert _cached_profile.cache_info().misses > misses  # the oldest were evicted

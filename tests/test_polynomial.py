@@ -27,6 +27,8 @@ def test_arithmetic():
     assert (b**3).coeffs == (0, 0, 0, 1)
     assert a.scale(-2).coeffs == (-2, -4, -6)
     assert b.shift(2).coeffs == (0, 0, 0, 1)
+    assert (a * Poly.zero()).is_zero() and (Poly.zero() * a).is_zero()
+    assert Poly.zero().shift(3).is_zero()
 
 
 def test_one_minus_x_power():
