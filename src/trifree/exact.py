@@ -7,7 +7,7 @@ The keep-probability polynomial of a graph G is
 where tf(G, s) counts s-edge subsets containing no K_k (triangles by
 default).  An edge subset is K_k-free exactly when it is an independent
 vertex set of the clique hypergraph (vertices = edges of G, hyperedges =
-K_k copies), so both maps below run on the one counting engine,
+K_k copies), so the maps below run on the one counting engine,
 hypergraph.covered_profile, fed the K_k copies as clique_edge_indices
 lists them.  Only edges lying in some K_k copy matter: an edge outside
 every copy can be kept or dropped freely, which multiplies the count
@@ -45,6 +45,17 @@ def tf_profile(g: Graph, clique_order: int = 3) -> IndependenceProfile:
     return IndependenceProfile(g.m, add_free_vertices(core, g.m))
 
 
+def independence_poly(hyperedges) -> Poly:
+    """Probability polynomial in p that a Bernoulli(p) vertex subset of a
+    hypergraph is independent, from its hyperedges alone.
+
+    The one map from the engine's profile to a polynomial: vertices in no
+    hyperedge cancel (p + (1-p) = 1), so the vertex count is not needed and
+    the degree is at most the covered-vertex count.
+    """
+    return _core_poly(covered_profile(hyperedges))
+
+
 def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     """Probability polynomial in p that the Bernoulli(p) edge-subgraph of g
     has no K_k copy.
@@ -52,7 +63,7 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
     Equals sum_s tf(g, s) p^s (1-p)^(m-s); edges outside every copy cancel
     (p + (1-p) = 1), so the degree is at most the covered-edge count.
     """
-    return _core_poly(covered_profile(clique_edge_indices(g, clique_order)))
+    return independence_poly(clique_edge_indices(g, clique_order))
 
 
 def poly_eval(poly: Poly, p) -> Fraction:

@@ -24,19 +24,24 @@ worker holds about BLOCK_WORDS raw words (at least 64 samples' worth) and
 gathers copies in groups of about the same size.  A run submits one task
 per worker, min(jobs, lanes) of them; each task draws the next lane that
 no task has taken until none is left, and returns its sum of successes.
+
+numpy and the thread pool are imported by the functions that use them, on
+the first Monte Carlo call: importing trifree, and every exact route, loads
+neither.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, sqrt
 from threading import Lock
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, clique_edge_indices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LANE_SIZE = 1 << 14
 BLOCK_WORDS = 1 << 16  # raw Philox words a lane draws at once
@@ -46,6 +51,8 @@ _MASK64 = (1 << 64) - 1
 
 def lane_generator(seed: int, lane: int) -> np.random.Generator:
     """Independent deterministic stream for one lane."""
+    import numpy as np
+
     key = np.array([seed & _MASK64, lane & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -99,6 +106,8 @@ def keep_threshold(p) -> int:
 def _lane_successes(
     seed: int, lane: int, count: int, bound: int, copies: np.ndarray, c: int
 ) -> int:
+    import numpy as np
+
     # the lane's one Philox stream, drawn in blocks of `step` samples: each
     # random_raw call continues where the last one stopped, so word i still
     # belongs to sample i // c and edge i % c, as the floats of
@@ -147,6 +156,9 @@ def estimate_tf(
         raise ValueError(f"p must lie strictly inside (0, 1), got {p_exact}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
+
     bound = keep_threshold(p_exact)
 
     cliques = clique_edge_indices(g, clique_order)

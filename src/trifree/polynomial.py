@@ -6,6 +6,11 @@ stays in integers: evaluation at a/b is an integer Horner sum made into one
 is all the symbolic machinery the package needs: probability polynomials in
 p, their differences, exact division for factorization checks, and the
 integer primitive remainders that Sturm chains are built from.
+
+A yes/no question about values, such as "is f(p) > g(p)?", is asked as the
+sign of one difference, (f - g).sign_at(p): an integer Horner sum whose
+sign is the answer, with no Fraction built.  eval is for values that are
+reported.
 """
 
 from __future__ import annotations

@@ -198,15 +198,14 @@ def crossover_root(a: Poly, b: Poly, lo, hi) -> RootInterval:
     if lo > hi:
         raise ValueError(f"empty interval: lo={lo} > hi={hi}")
     diff = a - b
-    flo = diff.eval(lo)
-    fhi = diff.eval(hi)
-    if flo == 0:
+    slo, shi = diff.sign_at(lo), diff.sign_at(hi)
+    if not slo:
         return RootInterval(lo, lo)
-    if fhi == 0:
+    if not shi:
         return RootInterval(hi, hi)
-    if (flo > 0) == (fhi > 0):
+    if slo == shi:
         raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+            f"no sign change on [{lo}, {hi}]: f(lo)={diff.eval(lo)}, f(hi)={diff.eval(hi)}"
         )
     return isolate_roots(diff, lo, hi)[0]
 
@@ -447,17 +446,16 @@ def verify_one_extra_optimum(n: int) -> OptimumVerification:
     reps = enumerate_graphs(n, m)
     p_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
     target = one_extra_edge_optimum(n)
-    target_at = {p: target.eval(p) for p in p_values}
     construction = canonical_form(mantel_plus_one(n)).decode("ascii")
 
     equality: list[str] = []
     violations: list[str] = []
     for g in reps:
-        poly = tf_poly(g)
-        values = [poly.eval(p) for p in p_values]
-        if any(v > target_at[p] for v, p in zip(values, p_values)):
+        gap = tf_poly(g) - target
+        signs = [gap.sign_at(p) for p in p_values]
+        if any(s > 0 for s in signs):
             violations.append(write_graph6(g))
-        elif all(v == target_at[p] for v, p in zip(values, p_values)):
+        elif not any(signs):
             equality.append(write_graph6(g))
     passed = not violations and equality == [construction]
     return OptimumVerification(
@@ -502,7 +500,7 @@ def verify_one_extra_capped(n: int) -> CappedVerification:
     capped = tuple(class_names(n, mantel_max_edges(n) + 1, cap))
     is_optimum = tf_poly(built) == target
     gap = target - linear_triple_bound(cap + 1)
-    below = not _interior_roots(gap) and gap.eval(Fraction(1, 2)) > 0
+    below = not _interior_roots(gap) and gap.sign_at(Fraction(1, 2)) > 0
     passed = capped == (construction,) and is_optimum and below
     return CappedVerification(
         n, passed, cap, construction, capped, is_optimum, below

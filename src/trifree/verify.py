@@ -11,13 +11,9 @@ from fractions import Fraction
 
 from .bounds import CheckReport, linear_triple_bound, ls_min_triangles, mantel_max_edges
 from .enumeration import enumerate_graphs
-from .exact import tf_poly
+from .exact import independence_poly, tf_poly
 from .graphs import triangle_count, two_extra_edge_candidates
-from .hypergraph import (
-    from_graph,
-    independence_profile,
-    random_linear_hypergraph,
-)
+from .hypergraph import from_graph, random_linear_hypergraph
 from .polynomial import Poly
 from .search import crossover_root, verify_one_extra_capped, verify_one_extra_optimum
 
@@ -99,14 +95,14 @@ def check_linear_bound() -> list[CheckReport]:
     for k in range(_CORPUS_RANDOM):
         corpus.append(random_linear_hypergraph(12, 2 + k % 5, seed=_CORPUS_SEED + k))
 
-    bound_at = {r: [linear_triple_bound(r).eval(p) for p in _P_GRID]
-                for r in {h.edge_count for h in corpus}}
+    bounds = {r: linear_triple_bound(r) for r in {h.edge_count for h in corpus}}
     bad = 0
     first_failure = ""
     for h in corpus:
-        profile = independence_profile(h)
-        for p, bound in zip(_P_GRID, bound_at[h.edge_count]):
-            if profile.probability(p) > bound:
+        # the probability over the covered vertices: the others cancel
+        gap = bounds[h.edge_count] - independence_poly(h.hyperedges)
+        for p in _P_GRID:
+            if gap.sign_at(p) < 0:
                 bad += 1
                 if not first_failure:
                     first_failure = f"r={h.edge_count}, p={p}"
@@ -167,7 +163,7 @@ def check_two_extra() -> list[CheckReport]:
     on_cubic = (
         factored
         and root.lo != root.hi
-        and (cubic.eval(root.lo) > 0) != (cubic.eval(root.hi) > 0)
+        and (cubic.sign_at(root.lo) > 0) != (cubic.sign_at(root.hi) > 0)
     )
     reports.append(
         CheckReport(
@@ -180,8 +176,8 @@ def check_two_extra() -> list[CheckReport]:
         )
     )
 
-    below = poly_split.eval(Fraction(1, 4)) > poly_star.eval(Fraction(1, 4))
-    above = poly_star.eval(Fraction(3, 4)) > poly_split.eval(Fraction(3, 4))
+    below = diff.sign_at(Fraction(1, 4)) < 0
+    above = diff.sign_at(Fraction(3, 4)) > 0
     reports.append(
         CheckReport(
             claim="split candidate wins below the crossover, star candidate above",
@@ -194,7 +190,8 @@ def check_two_extra() -> list[CheckReport]:
     )
 
     grid = [Fraction(j, 51) for j in range(1, 51)]
-    dominated = all(poly_split.eval(p) > poly_path.eval(p) for p in grid)
+    lead = poly_split - poly_path
+    dominated = all(lead.sign_at(p) > 0 for p in grid)
     reports.append(
         CheckReport(
             claim="path candidate is strictly beaten by the split candidate",

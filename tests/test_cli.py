@@ -12,8 +12,11 @@ import pytest
 
 import trifree
 from trifree import (
+    CliqueHypergraph,
     Poly,
     canonical_form,
+    independence_probability,
+    linear_triple_bound,
     mantel_plus_one,
     tf_poly,
     tf_profile,
@@ -22,8 +25,15 @@ from trifree import (
 )
 from trifree.cli import main, parse_probability, resolve_graph
 from trifree.enumeration import class_names
+from trifree.exact import independence_poly
 from trifree.hypergraph import _cached_profile
-from trifree.verify import check_linear_bound, check_ls, check_one_extra, check_two_extra
+from trifree.verify import (
+    _P_GRID,
+    check_linear_bound,
+    check_ls,
+    check_one_extra,
+    check_two_extra,
+)
 
 
 def run_cli(capsys, argv):
@@ -581,6 +591,33 @@ def test_check_linear_bound_names_its_first_failure(monkeypatch):
     monkeypatch.setattr("trifree.verify.linear_triple_bound", lambda r: Poly.zero())
     (report,) = check_linear_bound()
     assert not report.passed
+    assert report.witness.endswith("; first failure at r=0, p=1/10")
+
+
+def test_check_linear_bound_counts_the_equality_cases_of_a_lowered_bound(monkeypatch):
+    # lowered by p^40 (1-p)^40, under 10^-40 on the grid, the bound is beaten
+    # exactly where it held with equality: counted here on the Fraction route,
+    # over 12 vertices (no corpus member has more; free vertices leave the
+    # probability unchanged)
+    corpus = []
+    monkeypatch.setattr(
+        "trifree.verify.independence_poly",
+        lambda hedges: corpus.append(hedges) or independence_poly(hedges),
+    )
+    tiny = (Poly((0, 1)) * Poly((1, -1))) ** 40
+    monkeypatch.setattr(
+        "trifree.verify.linear_triple_bound", lambda r: linear_triple_bound(r) - tiny
+    )
+    (report,) = check_linear_bound()
+    equal = sum(
+        independence_probability(CliqueHypergraph(12, hedges), p)
+        == linear_triple_bound(len(hedges)).eval(p)
+        for hedges in corpus
+        for p in _P_GRID
+    )
+    assert len(corpus) == 102 and equal > 0
+    assert not report.passed
+    assert report.lhs == f"{equal} violations"
     assert report.witness.endswith("; first failure at r=0, p=1/10")
 
 

@@ -1,12 +1,16 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trifree
 from trifree import (
     complete_bipartite,
     complete_graph,
@@ -255,7 +259,8 @@ def test_estimate_pool_never_exceeds_lanes(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr("trifree.montecarlo.ThreadPoolExecutor", CountingPool)
+    # estimate_tf imports the pool from concurrent.futures when it runs
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
     g = complete_graph(4)
     base = estimate_tf(g, Fraction(1, 2), 100, seed=4)
     assert estimate_tf(g, Fraction(1, 2), 100, seed=4, jobs=64) == base
@@ -311,7 +316,8 @@ def test_estimate_submits_one_task_per_worker(monkeypatch):
         drawn.append((lane, count))
         return count
 
-    monkeypatch.setattr("trifree.montecarlo.ThreadPoolExecutor", CountingPool)
+    # estimate_tf imports the pool from concurrent.futures when it runs
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr("trifree.montecarlo._lane_successes", stub_lane)
     lanes = 50_000
     samples = lanes * LANE_SIZE - 7
@@ -330,3 +336,31 @@ def test_estimate_submits_one_task_per_worker(monkeypatch):
             assert est.successes == samples
     finally:
         sys.setswitchinterval(interval)
+
+
+_COLD_IMPORT = """
+import sys
+from fractions import Fraction
+
+import trifree, trifree.cli
+
+loaded = sorted({"numpy", "concurrent.futures"} & set(sys.modules))
+assert not loaded, f"import trifree, trifree.cli loaded {loaded}"
+g = trifree.complete_graph(8)
+print(trifree.estimate_tf(g, Fraction(1, 2), 100001, seed=0, jobs=2).successes)
+print(trifree.estimate_tf(g, Fraction(1, 2), 100001, seed=0, clique_order=4).successes)
+"""
+
+
+def test_import_loads_neither_numpy_nor_the_thread_pool():
+    # only Monte Carlo samples: numpy and concurrent.futures load on its
+    # first call, and the estimates keep their pinned successes
+    src = Path(trifree.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1729", "54766"]

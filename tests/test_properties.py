@@ -1,7 +1,9 @@
 """Property tests: the exact counting engine against the brute-force oracles
 on random small graphs, random linear triple systems and random hypergraphs
-of mixed edge sizes."""
+of mixed edge sizes; the sign of a polynomial difference against the
+Fraction comparison it replaces."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,6 +19,7 @@ from conftest import (  # noqa: E402
 )
 from trifree import (  # noqa: E402
     CliqueHypergraph,
+    Poly,
     build_graph,
     independence_profile,
     tf_poly,
@@ -101,3 +104,21 @@ def test_covered_profile_matches_brute_force_on_mixed_sizes(hedges):
     index = {v: i for i, v in enumerate(covered)}
     renumbered = [[index[v] for v in e] for e in hedges]
     assert covered_profile(hedges) == brute_independence_profile(len(covered), renumbered)
+
+
+integer_polys = st.lists(st.integers(-(10**6), 10**6), max_size=9).map(Poly)
+unit_points = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(1, 2))),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+)
+
+
+@ENGINE
+@given(integer_polys, integer_polys, integer_polys, unit_points)
+def test_sign_of_the_difference_decides_the_comparison(f, g, h, p):
+    diff = f.eval(p) - g.eval(p)
+    assert (f - g).sign_at(p) == (diff > 0) - (diff < 0)
+    assert (f - f).sign_at(p) == 0
+    # (b x - a) h vanishes at p = a/b, so f and f plus it tie there
+    vanishing = Poly((-p.numerator, p.denominator)) * h
+    assert (f - (f + vanishing)).sign_at(p) == 0

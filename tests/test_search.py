@@ -553,6 +553,32 @@ def test_verify_one_extra_optimum_small():
         verify_one_extra_optimum(9)
 
 
+# p^40 (1-p)^40: below 10^-40 at 1/10, 1/2 and 9/10, while a nonzero integer
+# polynomial of degree at most 10 is at least 10^-10 in absolute value there
+_TINY = (Poly((0, 1)) * Poly((1, -1))) ** 40
+
+
+@pytest.mark.parametrize(
+    "nudge, violations, equality",
+    [
+        (Poly.zero(), [], ["EFzg"]),
+        # only the construction meets the target, so only it beats a lowered one
+        (-_TINY, ["EFzg"], []),
+        (_TINY, [], []),
+    ],
+)
+def test_verify_one_extra_optimum_decides_by_the_sign_of_the_gap(
+    monkeypatch, nudge, violations, equality
+):
+    target = search.one_extra_edge_optimum
+    monkeypatch.setattr(search, "one_extra_edge_optimum", lambda n: target(n) + nudge)
+    report = verify_one_extra_optimum(6)
+    assert report.construction == "EFzg"
+    assert list(report.violations) == violations
+    assert list(report.equality_classes) == equality
+    assert report.passed == (equality == ["EFzg"] and not violations)
+
+
 def test_verify_one_extra_routes_agree():
     # the exhaustive route and the triangle-capped proof find the same
     # unique class: the construction
