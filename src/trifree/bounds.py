@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, triangle_count
-from .polynomial import Poly
+from .polynomial import Poly, check_probability
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ def tf_upper_bound(g: Graph, p) -> Fraction:
     Valid for every graph because two distinct triangles share at most one
     edge, so the triangle hypergraph is always linear.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return linear_triple_bound(triangle_count(g)).eval(p)
+    return linear_triple_bound(triangle_count(g)).eval(check_probability(p))
 
 
 @dataclass(frozen=True)

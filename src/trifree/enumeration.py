@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 from .errors import LimitExceededError
 from .graphs import (
-    MAX_CANONICAL_N,
     Graph,
     canonical_form,
+    check_canonical_n,
     parse_graph6,
     triangle_count,
     twin_classes,
@@ -136,11 +136,8 @@ def _augment(n: int, m: int, cap: int | None) -> set[str]:
 def class_names(n: int, m: int, cap: int | None = None) -> list[str]:
     """Sorted canonical graph6 names of the n-vertex, m-edge classes with
     at most cap triangles (every class when cap is None), memoized.
-    Limited to n <= MAX_CANONICAL_N by the canonical form."""
-    if n > MAX_CANONICAL_N:
-        raise LimitExceededError(
-            f"canonical form supports n <= {MAX_CANONICAL_N}, got n={n}"
-        )
+    The canonical-form limit (check_canonical_n) comes before any recursion."""
+    check_canonical_n(n)
     if cap is not None and cap >= comb(n, 3):
         cap = None
     key = (n, m, cap)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graphs import Graph, clique_edge_indices
 from .hypergraph import IndependenceProfile, add_free_vertices, covered_profile
-from .polynomial import Poly
+from .polynomial import Poly, check_probability
 
 
 def _core_poly(core: tuple[int, ...]) -> Poly:
@@ -67,8 +67,5 @@ def tf_poly(g: Graph, clique_order: int = 3) -> Poly:
 
 
 def poly_eval(poly: Poly, p) -> Fraction:
-    """Exact value at a probability p in [0, 1]."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return poly.eval(p)
+    """Exact value at a probability p in [0, 1] (check_probability)."""
+    return poly.eval(check_probability(p))

@@ -9,6 +9,7 @@ subset bitmasks, profiles) relies on this one convention.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from .errors import LimitExceededError
@@ -110,9 +111,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with part A = 0..a-1 and part B = a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both part sizes must be at least 1")
-    if a + b > MAX_VERTICES:
-        raise ValueError(f"total vertex count {a + b} exceeds {MAX_VERTICES}")
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    # a generator: Graph rejects a + b before any of the a*b pairs exists
+    return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
 def mantel_plus_one(n: int) -> Graph:
@@ -158,26 +158,30 @@ def triangle_count(g: Graph) -> int:
     return total // 3
 
 
+def check_clique_order(k) -> int:
+    """The one clique-order check: k as an int if it is an integer >= 2
+    (a numpy integer passes; a float, even 3.0, does not); else ValueError."""
+    if not hasattr(k, "__index__") or operator.index(k) < 2:
+        raise ValueError(f"clique order must be an integer at least 2, got {k!r}")
+    return operator.index(k)
+
+
 def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """Vertex sets of all K_k copies, each sorted, in lexicographic order."""
-    if k < 1:
-        raise ValueError("clique order must be positive")
+    k = check_clique_order(k)
     out: list[tuple[int, ...]] = []
 
-    def extend(members: list[int], candidates: int):
+    def extend(members: tuple[int, ...], candidates: int):
         if len(members) == k:
-            out.append(tuple(members))
+            out.append(members)
             return
-        c = candidates
-        v = 0
-        while c:
-            shift = (c & -c).bit_length() - 1
-            v += shift
-            extend(members + [v], candidates & g.adj[v] & ~((1 << (v + 1)) - 1))
-            c >>= shift + 1
-            v += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            extend(members + (v,), candidates & g.adj[v])
 
-    extend([], (1 << g.n) - 1)
+    extend((), (1 << g.n) - 1)
     return out
 
 
@@ -186,9 +190,7 @@ def clique_edge_indices(g: Graph, clique_order: int) -> list[tuple[int, ...]]:
 
     The listing is then lexicographic, the normal form of a
     CliqueHypergraph, so from_graph keeps it as it is and both routes hand
-    the engine cache one key."""
-    if clique_order < 2:
-        raise ValueError("clique order must be at least 2")
+    the engine cache one key.  cliques() checks the clique order."""
     # pairs of a sorted clique come in lexicographic order, the index order
     index = g._edge_index.__getitem__
     return [tuple(map(index, combinations(members, 2))) for members in cliques(g, clique_order)]
@@ -275,18 +277,21 @@ def _min_colex_search(g: Graph):
     return best_levels
 
 
+def check_canonical_n(n: int) -> None:
+    """The one canonical-form size check: LimitExceededError if n > MAX_CANONICAL_N."""
+    if n > MAX_CANONICAL_N:
+        raise LimitExceededError(f"canonical form supports n <= {MAX_CANONICAL_N}, got n={n}")
+
+
 def canonical_form(g: Graph) -> bytes:
     """Byte-string equal for two graphs iff they are isomorphic.
 
     The value is the graph6 encoding of the relabeling that minimizes the
     colex adjacency bit-string, so it can be fed back to
-    :func:`parse_graph6`.  Exact search; limited to n <= 10.  Reads only
-    g.n and the adjacency rows g.adj.
+    :func:`parse_graph6`.  Exact search, within check_canonical_n.  Reads
+    only g.n and the adjacency rows g.adj.
     """
-    if g.n > MAX_CANONICAL_N:
-        raise LimitExceededError(
-            f"canonical form supports n <= {MAX_CANONICAL_N}, got n={g.n}"
-        )
+    check_canonical_n(g.n)
     return _graph6_encode(g.n, _min_colex_search(g)).encode("ascii")
 
 

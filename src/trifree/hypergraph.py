@@ -19,7 +19,8 @@ from math import comb
 from operator import or_
 
 from .errors import LimitExceededError
-from .graphs import Graph, clique_edge_indices
+from .graphs import Graph, check_clique_order, clique_edge_indices
+from .polynomial import check_probability
 
 MAX_COVERED_VERTICES = 30  # exact-count limit (for a graph: edges in some K_k copy)
 PROFILE_CACHE_SIZE = 2048  # hyperedge listings kept per process; >= 1,646 classes at n=8, m=14
@@ -30,7 +31,7 @@ class CliqueHypergraph:
     """Uniform hypergraph on vertices 0..vertex_count-1.
 
     clique_order is the order k of the source cliques; hyperedges have
-    C(k, 2) vertices each (3 for triangles).
+    C(k, 2) vertices each (3 for triangles).  check_clique_order checks k.
     """
 
     vertex_count: int
@@ -38,9 +39,7 @@ class CliqueHypergraph:
     clique_order: int = 3
 
     def __post_init__(self):
-        if self.clique_order < 2:
-            raise ValueError(f"clique order must be at least 2, got {self.clique_order}")
-        size = comb(self.clique_order, 2)
+        size = comb(check_clique_order(self.clique_order), 2)
         norm = []
         for e in self.hyperedges:
             t = tuple(sorted(e))
@@ -78,10 +77,7 @@ class IndependenceProfile:
 
     def probability(self, p) -> Fraction:
         """Exact probability that a Bernoulli(p) vertex subset is independent."""
-        p = Fraction(p)
-        a, b = p.numerator, p.denominator
-        if not 0 <= a <= b:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+        a, b = check_probability(p).as_integer_ratio()
         # sum_s counts[s] a^s (b-a)^(v-s) over b^v, by integer Horner in a
         v, acc, qpow = self.vertex_count, 0, 1
         for c in reversed(self.counts):
@@ -91,8 +87,8 @@ class IndependenceProfile:
 
 
 def from_graph(g: Graph, clique_order: int = 3) -> CliqueHypergraph:
-    """Hypergraph on the edges of g with one hyperedge per K_k copy, for
-    every k >= 2, the rule of clique_edge_indices on every graph route."""
+    """Hypergraph on the edges of g with one hyperedge per K_k copy, as
+    clique_edge_indices lists them (graphs.cliques checks the order)."""
     return CliqueHypergraph(g.m, tuple(clique_edge_indices(g, clique_order)), clique_order)
 
 

@@ -39,6 +39,7 @@ from threading import Lock
 from typing import TYPE_CHECKING
 
 from .graphs import Graph, clique_edge_indices
+from .polynomial import check_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,9 +152,7 @@ def estimate_tf(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    p_exact = Fraction(p)
-    if not 0 < p_exact < 1:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p_exact}")
+    p_exact = check_probability(p, interior=True)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     import numpy as np

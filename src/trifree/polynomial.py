@@ -19,6 +19,17 @@ from fractions import Fraction
 from math import comb, gcd
 
 
+def check_probability(p, interior: bool = False) -> Fraction:
+    """The one probability-range check: p as a Fraction if it lies in
+    [0, 1] (strictly inside (0, 1) if interior is True); else ValueError."""
+    p = Fraction(p)
+    if interior and not 0 < p < 1:
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 class Poly:
     """Polynomial sum(coeffs[j] * p**j); trailing zero coefficients stripped."""
 

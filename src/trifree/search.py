@@ -21,7 +21,7 @@ from .graphs import (
     triangle_count,
     write_graph6,
 )
-from .polynomial import Poly
+from .polynomial import Poly, check_probability
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +69,7 @@ def maximize_tf(n: int, i: int, p, prune: bool = False) -> SearchReport:
     n = 8, i = 2, p = 1/2; 63 of 65 at n = 7, i = 2, p = 1/3).  Pruned
     and unpruned runs are asserted identical in the test suite.
     """
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    p = check_probability(p, interior=True)
     started = time.perf_counter()
     m = mantel_max_edges(n) + i
     reps = enumerate_graphs(n, m)

@@ -231,7 +231,7 @@ def test_two_graph_lines_exit_2_naming_the_count(capsys, monkeypatch, tmp_path, 
         ("k:2,2,2", "expected K:a,b with integer sizes, got 'k:2,2,2'"),
         ("mantel+1:2", "'mantel+1:2' is not a valid mantel+1:N: need at least 3 vertices"),
         ("complete:0", "'complete:0' is not a valid complete:N: vertex count must be in 1..62"),
-        ("K:40,40", "'K:40,40' is not a valid K:a,b: total vertex count 80 exceeds 62"),
+        ("K:40,40", "'K:40,40' is not a valid K:a,b: vertex count must be in 1..62, got 80"),
     ],
 )
 def test_misspelt_constructor_exit_2_naming_it(

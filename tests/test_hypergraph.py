@@ -64,7 +64,8 @@ def test_construction_validation():
 def test_clique_order_below_two_rejected():
     # C(1, 2) = C(0, 2) = 0 would admit empty hyperedges
     for order in (1, 0, -1):
-        with pytest.raises(ValueError, match=f"clique order must be at least 2, got {order}"):
+        message = f"clique order must be an integer at least 2, got {order}"
+        with pytest.raises(ValueError, match=message):
             CliqueHypergraph(2, ((),), clique_order=order)
         with pytest.raises(ValueError, match=f"got {order}"):
             CliqueHypergraph(2, (), clique_order=order)
@@ -113,7 +114,9 @@ def test_clique_order_one_is_rejected_on_every_graph_route():
         lambda: estimate_tf(k4, Fraction(1, 2), 10, seed=0, clique_order=1),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="^clique order must be at least 2$"):
+        with pytest.raises(
+            ValueError, match="^clique order must be an integer at least 2, got 1$"
+        ):
             call()
 
 
