@@ -19,8 +19,8 @@ MAX_CANONICAL_N = 10  # documented limit of the exact canonical-form search
 
 
 class Graph:
-    """Immutable simple graph; construct via :func:`build_graph` or the
-    named constructors below."""
+    """Immutable simple graph, built by :func:`build_graph` or the named
+    constructors below; a duplicate edge is found on its adjacency rows."""
 
     __slots__ = ("n", "adj", "edges", "_edge_index")
 
@@ -28,7 +28,6 @@ class Graph:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         adj = [0] * n
-        seen = set()
         norm = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -37,9 +36,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if adj[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
             norm.append((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -167,7 +165,7 @@ def check_clique_order(k) -> int:
 
 
 def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """Vertex sets of all K_k copies, each sorted, in lexicographic order."""
+    """All K_k copies, sorted vertex sets in lexicographic order; stops where no K_k can fit."""
     k = check_clique_order(k)
     out: list[tuple[int, ...]] = []
 
@@ -175,7 +173,8 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
         if len(members) == k:
             out.append(members)
             return
-        while candidates:
+        # fewer than k - len(members) candidates left cannot complete a K_k
+        while candidates.bit_count() >= k - len(members):
             low = candidates & -candidates
             candidates ^= low
             v = low.bit_length() - 1

@@ -39,7 +39,8 @@ class CliqueHypergraph:
     clique_order: int = 3
 
     def __post_init__(self):
-        size = comb(check_clique_order(self.clique_order), 2)
+        object.__setattr__(self, "clique_order", check_clique_order(self.clique_order))
+        size = comb(self.clique_order, 2)
         norm = []
         for e in self.hyperedges:
             t = tuple(sorted(e))

@@ -38,7 +38,7 @@ from math import ceil, sqrt
 from threading import Lock
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, clique_edge_indices
+from .graphs import Graph, check_clique_order, clique_edge_indices
 from .polynomial import check_probability
 
 if TYPE_CHECKING:
@@ -160,6 +160,7 @@ def estimate_tf(
 
     bound = keep_threshold(p_exact)
 
+    clique_order = check_clique_order(clique_order)
     cliques = clique_edge_indices(g, clique_order)
     covered = sorted({e for idx in cliques for e in idx})
     if not covered:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -89,6 +90,13 @@ def test_profile_clique_order_4():
     assert tf_profile(k5, clique_order=4).counts == brute_tf_profile(k5, order=4)
     # K4-free polynomial of K4: 1 - p^6
     assert tf_poly(k4, clique_order=4) == Poly((1, 0, 0, 0, 0, 0, -1))
+
+
+def test_clique_order_above_the_clique_number_returns_at_once():
+    # no partial clique of K22 can reach 23 vertices, so the listing ends at its root
+    start = time.perf_counter()
+    assert tf_poly(complete_graph(22), 23) == Poly.one()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_poly_known_values():

@@ -1,6 +1,8 @@
 import random
+import sys
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -42,8 +44,9 @@ def test_build_graph_errors():
         build_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         build_graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        build_graph(3, [(0, 1), (1, 0)])
+    for edges in ([(0, 1), (1, 0)], [(1, 0), (0, 1)]):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            build_graph(3, edges)
     with pytest.raises(ValueError):
         build_graph(63, [])
     with pytest.raises(ValueError):
@@ -133,6 +136,45 @@ def test_cliques():
     for k in (0, -1):
         with pytest.raises(ValueError, match="clique order must be an integer at least 2"):
             cliques(complete_graph(4), k)
+
+
+def test_cliques_match_the_combinations_in_order():
+    # combinations() yields vertex sets in the same lexicographic order
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        for k in range(2, n + 2):
+            want = [c for c in combinations(range(n), k)
+                    if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
+            assert cliques(g, k) == want, (g.edges, k)
+
+
+def _extend_calls(g, k):
+    """Calls of the listing's inner recursion for cliques(g, k)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        cliques(g, k)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_clique_listing_stops_where_no_copy_fits():
+    # a partial clique that cannot reach k is not extended, so K16 has no
+    # branch at k = 17 and one chain of 16 extensions at k = 16
+    k16 = complete_graph(16)
+    assert _extend_calls(k16, 17) == 1
+    assert _extend_calls(k16, 16) <= 17
+    assert _extend_calls(complete_graph(12), 4) == 715
+    assert _extend_calls(mantel_plus_one(20), 3) == 119
 
 
 def test_complete_graph_rejects_its_size_before_listing_edges():

@@ -1,6 +1,7 @@
 """Each input rule has one written check and one message, reached from
 every public entry that takes the input."""
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,15 @@ def test_clique_order_rule(entry, k):
 @pytest.mark.parametrize("entry", CLIQUE_ORDER_ENTRIES)
 def test_clique_order_rule_accepts_a_numpy_integer(entry):
     assert CLIQUE_ORDER_ENTRIES[entry](np.int64(3)) == CLIQUE_ORDER_ENTRIES[entry](3)
+
+
+def test_a_numpy_clique_order_is_stored_as_an_int():
+    assert type(from_graph(K4, np.int64(3)).clique_order) is int
+    assert type(CliqueHypergraph(6, (), np.int64(4)).clique_order) is int
+    est = estimate_tf(complete_graph(5), HALF, 100, 1, clique_order=np.int64(3))
+    assert type(est.clique_order) is int
+    want = estimate_tf(complete_graph(5), HALF, 100, 1, clique_order=3)
+    assert json.dumps(est.to_json()) == json.dumps(want.to_json())
 
 
 CLOSED_ENTRIES = {
