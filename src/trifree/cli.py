@@ -320,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--k", type=int, default=3, help="forbidden clique order")
-    p_mc.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    p_mc.add_argument(
+        "--jobs", type=int, default=1,
+        help="threads that draw lanes, the calling one included, at most one per CPU (default 1)",
+    )
     p_mc.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p_mc.set_defaults(func=cmd_mc)
 

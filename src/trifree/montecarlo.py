@@ -20,10 +20,12 @@ the empirical mean sits at or near 1.
 Memory depends on neither the number c of covered edges nor the sample
 count.  A lane draws its stream in consecutive blocks of
 max(64, BLOCK_WORDS // c rounded down to a multiple of 64) samples, so a
-worker holds about BLOCK_WORDS raw words (at least 64 samples' worth) and
-gathers copies in groups of about the same size.  A run submits one task
-per worker, min(jobs, lanes) of them; each task draws the next lane that
-no task has taken until none is left, and returns its sum of successes.
+thread holds about BLOCK_WORDS raw words (at least 64 samples' worth) and
+gathers copies in groups of about the same size.  A run draws lanes on
+min(jobs, lanes, cpu count) threads: the calling thread and one helper task
+for each further thread.  Each draws the next lane that none has taken
+until none is left, and returns its sum of successes; once one raises
+(Ctrl-C included), no further lane is handed out.
 
 numpy and the thread pool are imported by the functions that use them, on
 the first Monte Carlo call: importing trifree, and every exact route, loads
@@ -32,6 +34,8 @@ neither.
 
 from __future__ import annotations
 
+import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, sqrt
@@ -98,6 +102,16 @@ class Estimate:
         }
 
 
+def _check_integer(x, name: str, least: int | None = None) -> int:
+    """x as an int if it is an integer no smaller than least (when given),
+    else ValueError; a numpy integer passes and a float, even 3.0, does not,
+    as for the clique order."""
+    if not hasattr(x, "__index__") or (least is not None and operator.index(x) < least):
+        floor = "" if least is None else f" at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {x!r}")
+    return operator.index(x)
+
+
 def keep_threshold(p) -> int:
     """Integer bound on raw Philox words: x < bound exactly when the float
     draw made from x, (x >> 11) * 2^-53, is below float(p)."""
@@ -147,14 +161,13 @@ def estimate_tf(
     """Fraction of Bernoulli(p) edge-subgraphs with no K_k copy.
 
     Fully determined by (g, p, samples, seed, clique_order); jobs only
-    bounds how many threads share the lanes (never more than there are
-    lanes) and must be at least 1.
+    bounds how many threads, the calling one included, share the lanes
+    (never more than there are lanes or CPUs) and must be at least 1.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = _check_integer(samples, "samples", 1)
+    seed = _check_integer(seed, "seed")
     p_exact = check_probability(p, interior=True)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = _check_integer(jobs, "jobs", 1)
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
@@ -173,22 +186,30 @@ def estimate_tf(
     lanes = -(-samples // LANE_SIZE)
     todo = iter(range(lanes))
     taking = Lock()
+    stop = False  # set by the first drainer that raises
 
-    def drain(_) -> int:
-        # a worker draws the next lane no worker has taken, until none is
-        # left; integer sums do not depend on which worker drew a lane
+    def drain() -> int:
+        # a drainer draws the next lane none has taken, until none is left;
+        # integer sums do not depend on which thread drew a lane
+        nonlocal stop
         total = 0
-        while True:
-            with taking:
-                lane = next(todo, None)
-            if lane is None:
-                return total
-            count = min(LANE_SIZE, samples - lane * LANE_SIZE)
-            total += _lane_successes(seed, lane, count, bound, copies, c)
+        try:
+            while True:
+                with taking:
+                    lane = None if stop else next(todo, None)
+                if lane is None:
+                    return total
+                count = min(LANE_SIZE, samples - lane * LANE_SIZE)
+                total += _lane_successes(seed, lane, count, bound, copies, c)
+        except BaseException:
+            stop = True
+            raise
 
-    workers = min(jobs, lanes)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        successes = sum(pool.map(drain, range(workers)))
+    # the calling thread drains too; a pool given no task starts no thread
+    helpers = min(jobs, lanes, os.cpu_count() or 1) - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        successes = drain() + sum(f.result() for f in futures)
     low, high = wilson_interval(successes, samples)
     return Estimate(
         successes / samples, low, high, samples, seed, successes, p_exact, clique_order

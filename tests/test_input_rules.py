@@ -70,6 +70,43 @@ def test_a_numpy_clique_order_is_stored_as_an_int():
     assert json.dumps(est.to_json()) == json.dumps(want.to_json())
 
 
+ESTIMATE_INTEGER_INPUTS = {
+    "samples": lambda x: estimate_tf(K4, HALF, x, seed=0),
+    "seed": lambda x: estimate_tf(K4, HALF, 10, seed=x),
+    # three lanes: jobs=1.5 used to reach range() and raise TypeError
+    "jobs": lambda x: estimate_tf(K4, HALF, 3 << 14, seed=0, jobs=x),
+}
+
+
+@pytest.mark.parametrize(
+    "name, x, want",
+    [
+        ("samples", 0, "samples must be an integer at least 1, got 0"),
+        ("samples", 100.0, "samples must be an integer at least 1, got 100.0"),
+        ("seed", 3.0, "seed must be an integer, got 3.0"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("jobs", 0, "jobs must be an integer at least 1, got 0"),
+        ("jobs", 1.5, "jobs must be an integer at least 1, got 1.5"),
+    ],
+)
+def test_estimate_integer_rules(name, x, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        ESTIMATE_INTEGER_INPUTS[name](x)
+
+
+def test_estimate_stores_numpy_integers_as_ints():
+    # np.int64 samples did not dump to JSON, and an np.int64 seed raised
+    # OverflowError when the lane key masked it to 64 bits
+    g = complete_graph(5)
+    est = estimate_tf(g, HALF, np.int64(100), np.int64(3), jobs=np.int64(2))
+    assert (type(est.samples), type(est.seed)) == (int, int)
+    want = estimate_tf(g, HALF, 100, 3, jobs=2)
+    assert est == want
+    assert json.dumps(est.to_json()) == json.dumps(want.to_json())
+    top = estimate_tf(g, HALF, 100, np.uint64(2**64 - 1))
+    assert top.successes == estimate_tf(g, HALF, 100, -1).successes  # one key mod 2^64
+
+
 CLOSED_ENTRIES = {
     "poly_eval": lambda p: poly_eval(tf_poly(K4), p),
     "IndependenceProfile.probability": lambda p: tf_profile(K4).probability(p),

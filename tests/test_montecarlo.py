@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -251,24 +253,65 @@ def test_estimate_rejects_jobs_below_one():
             estimate_tf(g, Fraction(1, 2), 100, seed=1, jobs=jobs)
 
 
-def test_estimate_pool_never_exceeds_lanes(monkeypatch):
-    started = []
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Patches the pool estimate_tf uses: logs each pool's max_workers and
+    each helper task, and fails on the 17th task, so that a broken thread
+    cap fails before it can start thousands of threads."""
+    log = {"max_workers": [], "submitted": []}
 
-    class CountingPool(ThreadPoolExecutor):
+    class GuardedPool(ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
+            log["max_workers"].append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
+        def submit(self, fn, /, *args, **kwargs):
+            if len(log["submitted"]) >= 16:
+                raise AssertionError("more than 16 helper tasks submitted")
+            log["submitted"].append(args)
+            return super().submit(fn, *args, **kwargs)
+
     # estimate_tf imports the pool from concurrent.futures when it runs
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", GuardedPool)
+    return log
+
+
+def _stub_lanes(monkeypatch, drawn):
+    """Replaces the lane kernel by one that logs (lane, count, thread)."""
+
+    def stub_lane(seed, lane, count, bound, copies, c):
+        drawn.append((lane, count, threading.get_ident()))
+        return count
+
+    monkeypatch.setattr("trifree.montecarlo._lane_successes", stub_lane)
+
+
+def test_estimate_threads_never_exceed_lanes_or_cpus(pool_log, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     g = complete_graph(4)
-    base = estimate_tf(g, Fraction(1, 2), 100, seed=4)
-    assert estimate_tf(g, Fraction(1, 2), 100, seed=4, jobs=64) == base
-    assert started == [1, 1]  # one lane: one worker, however large jobs is
-    samples = 2 * LANE_SIZE + 1
-    base = estimate_tf(g, Fraction(1, 2), samples, seed=4)
-    assert estimate_tf(g, Fraction(1, 2), samples, seed=4, jobs=64) == base
-    assert started == [1, 1, 1, 3]
+    for samples, lanes in ((100, 1), (2 * LANE_SIZE + 1, 3), (10 * LANE_SIZE, 10)):
+        base = estimate_tf(g, Fraction(1, 2), samples, seed=4)
+        for jobs in (2, 3, 64):
+            pool_log["max_workers"].clear()
+            pool_log["submitted"].clear()
+            assert estimate_tf(g, Fraction(1, 2), samples, seed=4, jobs=jobs) == base
+            helpers = min(jobs, lanes, 8) - 1
+            assert len(pool_log["submitted"]) == helpers, (samples, jobs)
+            assert pool_log["max_workers"] == [max(1, helpers)], (samples, jobs)
+
+
+def test_estimate_one_job_or_one_lane_starts_no_thread(pool_log, monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    g = complete_graph(4)
+    one_lane = estimate_tf(g, Fraction(1, 2), 100, seed=4)
+    assert estimate_tf(g, Fraction(1, 2), 100, seed=4, jobs=64) == one_lane
+    assert estimate_tf(g, Fraction(1, 2), 3 * LANE_SIZE, seed=4, jobs=1).samples == 3 * LANE_SIZE
+    assert pool_log["submitted"] == []
+    assert pool_log["max_workers"] == [1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -304,38 +347,76 @@ def test_estimate_memory_depends_on_neither_edges_nor_samples():
     assert peak < 16 * 2**20
 
 
-def test_estimate_submits_one_task_per_worker(monkeypatch):
-    submitted, drawn = [], []
+_LANES = 50_000
+_SAMPLES = _LANES * LANE_SIZE - 7
+_EVERY_LANE = [(lane, LANE_SIZE) for lane in range(_LANES - 1)] + [(_LANES - 1, LANE_SIZE - 7)]
 
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(fn, *args, **kwargs)
 
-    def stub_lane(seed, lane, count, bound, copies, c):
-        drawn.append((lane, count))
-        return count
-
-    # estimate_tf imports the pool from concurrent.futures when it runs
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr("trifree.montecarlo._lane_successes", stub_lane)
-    lanes = 50_000
-    samples = lanes * LANE_SIZE - 7
-    every_lane = [(lane, LANE_SIZE) for lane in range(lanes - 1)] + [(lanes - 1, LANE_SIZE - 7)]
-    # tasks share the queue of lanes: switch threads as often as possible,
-    # with more workers than cores, so that a lane drawn twice or lost shows
+@pytest.fixture
+def fast_switching():
+    # drainers share the queue of lanes: switch threads as often as
+    # possible, so that a lane drawn twice or lost shows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    try:
-        for jobs in (1, 2, 3, 8):
-            submitted.clear()
-            drawn.clear()
-            est = estimate_tf(complete_graph(4), Fraction(1, 2), samples, seed=1, jobs=jobs)
-            assert len(submitted) == min(jobs, lanes)
-            assert sorted(drawn) == every_lane  # each lane once, by exactly one task
-            assert est.successes == samples
-    finally:
-        sys.setswitchinterval(interval)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_estimate_draws_every_lane_once(pool_log, monkeypatch, fast_switching):
+    drawn = []
+    _stub_lanes(monkeypatch, drawn)
+    # more threads than the machine has cores
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for jobs in (1, 2, 3, 8, 64):
+        pool_log["submitted"].clear()
+        drawn.clear()
+        est = estimate_tf(complete_graph(4), Fraction(1, 2), _SAMPLES, seed=1, jobs=jobs)
+        assert len(pool_log["submitted"]) == min(jobs, 8) - 1
+        assert sorted((lane, count) for lane, count, _ in drawn) == _EVERY_LANE
+        assert len({thread for _, _, thread in drawn}) <= min(jobs, 8)
+        assert est.successes == _SAMPLES
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 8])
+def test_estimate_huge_jobs_start_one_thread_per_cpu(pool_log, monkeypatch, fast_switching, cpus):
+    drawn = []
+    _stub_lanes(monkeypatch, drawn)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    est = estimate_tf(complete_graph(4), Fraction(1, 2), _SAMPLES, seed=1, jobs=10**6)
+    assert len(pool_log["submitted"]) == (cpus or 1) - 1
+    assert sorted((lane, count) for lane, count, _ in drawn) == _EVERY_LANE
+    assert est.successes == _SAMPLES
+
+
+@pytest.mark.parametrize("where", ["lane 3", "a helper's lane"])
+def test_estimate_stops_handing_out_lanes_once_a_lane_raises(pool_log, monkeypatch, where):
+    lanes, helpers = 40, 3
+    caller = threading.get_ident()
+    error = KeyboardInterrupt() if where == "lane 3" else RuntimeError("helper lane")
+    drawn, raised = [], []
+    logging = threading.Lock()
+
+    def stub_lane(seed, lane, count, bound, copies, c):
+        with logging:
+            drawn.append(lane)
+            on_helper = threading.get_ident() != caller
+            fail = not raised and (lane == 3 if where == "lane 3" else on_helper)
+            if fail:
+                raised.append(len(drawn))
+        if fail:
+            raise error
+        time.sleep(0.01)  # stands for a real lane; the failing one raises at once
+        return count
+
+    monkeypatch.setattr("trifree.montecarlo._lane_successes", stub_lane)
+    monkeypatch.setattr(os, "cpu_count", lambda: helpers + 1)
+    with pytest.raises(type(error)):
+        estimate_tf(complete_graph(4), Fraction(1, 2), lanes * LANE_SIZE, seed=1, jobs=4)
+    assert len(pool_log["submitted"]) == helpers
+    assert raised
+    # lanes begun after the failing one: at most one per other drainer
+    assert len(drawn) - raised[0] <= helpers
+    assert len(drawn) < lanes
 
 
 _COLD_IMPORT = """
